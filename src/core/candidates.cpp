@@ -18,27 +18,6 @@ bool facility_subset(const std::vector<FacilityId>& inner,
   return set_subset(inner, outer);
 }
 
-bool InterfaceInference::constrain(const std::vector<FacilityId>& allowed,
-                                   int iteration) {
-  assert(sorted_unique(allowed));
-  if (allowed.empty()) return false;
-  if (!has_constraint) {
-    candidates = allowed;
-    has_constraint = true;
-    if (resolved()) resolved_iteration = iteration;
-    return true;
-  }
-  auto narrowed = facility_intersection(candidates, allowed);
-  if (narrowed.empty()) {
-    ++conflicts;
-    return false;
-  }
-  if (narrowed.size() == candidates.size()) return false;
-  candidates = std::move(narrowed);
-  if (resolved() && resolved_iteration < 0) resolved_iteration = iteration;
-  return true;
-}
-
 std::optional<MetroId> InterfaceInference::city(const Topology& topo) const {
   if (!has_constraint || candidates.empty()) return std::nullopt;
   const MetroId metro = topo.metro_of(candidates.front());

@@ -1,4 +1,8 @@
-// Candidate-facility constraint sets (the data structure CFS narrows).
+// The report-facing per-interface inference value, plus sorted
+// facility-list helpers. During a run candidate sets live in the dense
+// interface table and are narrowed only by IfaceTable::constrain
+// (core/iface_table.h); rows are materialised into this type for the
+// report.
 #pragma once
 
 #include <vector>
@@ -35,11 +39,6 @@ struct InterfaceInference {
     return has_constraint && candidates.size() == 1;
   }
   [[nodiscard]] FacilityId facility() const { return candidates.front(); }
-
-  // Intersects the candidate set with `allowed`; an intersection that would
-  // empty the set is recorded as a conflict and ignored (stale data must
-  // not erase good constraints). Returns true when the set narrowed.
-  bool constrain(const std::vector<FacilityId>& allowed, int iteration);
 
   // Metro shared by all candidates, if any (the paper's "constrained to a
   // single city" outcome for ~9% of unresolved interfaces).

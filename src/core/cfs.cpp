@@ -5,8 +5,7 @@
 #include <unordered_set>
 
 #include "core/bordermap.h"
-#include "core/iface_table.h"
-#include "core/obs_store.h"
+#include "core/fold.h"
 #include "core/reverse.h"
 #include "core/rules.h"
 #include "util/arena.h"
@@ -35,11 +34,10 @@ struct ConstrainedFacilitySearch::State {
   static constexpr std::size_t kReleaseWindow = 8192;
 
   // ---- dense-handle hot state ----
-  // Every responding hop address and peering endpoint is interned once;
-  // all hot columns below are indexed by the resulting u32 handle.
-  Interner<Ipv4> addrs;
-  IfaceTable ifaces;  // rows by handle; present() == "is a peering iface"
-  ObsStore store;     // slot-stable (near, far) observation store
+  // The shared fold (core/fold.h) owns the address interner, interface
+  // rows and observation store; the columns below are indexed by its
+  // address handles or observation slots.
+  ConstraintFold fold;
   // Worklist bits by observation slot: `dirty` is this iteration's pass,
   // `pending` collects mid-pass discoveries at-or-before the cursor
   // (promoted into `dirty` at iteration end, like the old std::set pair).
@@ -91,14 +89,22 @@ struct ConstrainedFacilitySearch::State {
 
   // Interns `addr` and grows every handle-indexed column to cover it.
   std::uint32_t intern_addr(Ipv4 addr) {
-    const std::uint32_t h = addrs.intern(addr);
-    if (addrs.size() > traces_by_addr.size()) {
-      traces_by_addr.resize(addrs.size());
-      obs_by_iface.resize(addrs.size());
-      iface_changed.resize(addrs.size(), 0);
-      ifaces.ensure_rows(addrs.size());
-    }
+    const std::uint32_t h = fold.intern(addr);
+    grow_columns();
     return h;
+  }
+
+  // Grows the side columns to every handle and slot the fold has minted.
+  void grow_columns() {
+    if (fold.addrs.size() > traces_by_addr.size()) {
+      traces_by_addr.resize(fold.addrs.size());
+      obs_by_iface.resize(fold.addrs.size());
+      iface_changed.resize(fold.addrs.size(), 0);
+    }
+    if (fold.store.slots() > dirty.size()) {
+      dirty.resize(fold.store.slots());
+      pending.resize(fold.store.slots());
+    }
   }
 
   void add_neighbor(Asn a, Asn b) {
@@ -116,65 +122,17 @@ struct ConstrainedFacilitySearch::State {
     return std::binary_search(v.begin(), v.end(), b.value);
   }
 
-  struct Absorbed {
-    bool created = false;
-    bool changed = false;
-    std::uint32_t slot = 0;
-    std::uint32_t near = 0;  // addr handles of the endpoints
-    std::uint32_t far = 0;
-  };
-  // Folds one classified observation into the store and the per-interface
-  // side state (asn, vantage points, adjacency). Both engines and the
-  // refresh replay funnel through here so the merged state is identical
-  // whichever path produced it.
-  Absorbed absorb(const PeeringObservation& obs) {
-    Absorbed result;
-    const ObsStore::FindOrCreate fc =
-        store.find_or_create(obs.near_addr, obs.far_addr);
-    result.slot = fc.slot;
-    if (store.slots() > dirty.size()) {
-      dirty.resize(store.slots());
-      pending.resize(store.slots());
-    }
-    if (fc.created) {
-      store.value(fc.slot) = obs;
-      result.created = true;
-    } else {
-      PeeringObservation& cur = store.value(fc.slot);
-      const PeeringObservation before = cur;
-      cur.near_rtt_ms = std::min(cur.near_rtt_ms, obs.near_rtt_ms);
-      cur.far_rtt_ms = std::min(cur.far_rtt_ms, obs.far_rtt_ms);
-      result.changed = !(before == cur);
-    }
-
-    result.near = intern_addr(obs.near_addr);
-    ifaces.touch(result.near, obs.near_addr, obs.near_as);
-    ifaces.note_seen_from(result.near, obs.vp);
-    result.far = intern_addr(obs.far_addr);
-    ifaces.touch(result.far, obs.far_addr, obs.far_as);
-
+  // Folds one classified observation into the shared fold plus the
+  // batch-only side state (AS adjacency for follow-up scoring). The full
+  // and incremental paths and the refresh replay all funnel through here
+  // so the merged state is identical whichever path produced it.
+  ConstraintFold::Absorbed absorb(const PeeringObservation& obs) {
+    const ConstraintFold::Absorbed result = fold.absorb(obs);
+    grow_columns();
     add_neighbor(obs.near_as, obs.far_as);
     add_neighbor(obs.far_as, obs.near_as);
     return result;
   }
-};
-
-// See cfs.h: the two pre-sized actions cover every branch of Step 2 (near
-// then far, in the old mutation order); `owned_*` back any computed
-// intersection the actions point into, everything else points at the
-// facility database's stable vectors.
-struct ConstrainedFacilitySearch::Directive {
-  struct Action {
-    std::uint32_t iface = 0;             // addr handle
-    const FacilityId* allowed = nullptr; // nullptr => no constrain call
-    std::uint32_t n = 0;
-    bool mark_remote = false;            // set the row's remote_suspect
-    bool record_ixp = false;             // note the obs IXP as queried
-  };
-  Action acts[2];
-  int n_acts = 0;
-  std::vector<FacilityId> owned_near;
-  std::vector<FacilityId> owned_far;
 };
 
 ConstrainedFacilitySearch::ConstrainedFacilitySearch(
@@ -264,7 +222,7 @@ std::size_t ConstrainedFacilitySearch::ingest_traces(
     }
 
     for (const PeeringObservation& obs : obs_list) {
-      const State::Absorbed r = state.absorb(obs);
+      const ConstraintFold::Absorbed r = state.absorb(obs);
       if (!config_.incremental) continue;
       if (r.created) {
         state.obs_by_iface[r.near].push_back(r.slot);
@@ -297,7 +255,7 @@ void ConstrainedFacilitySearch::reclassify_changed(
   const std::vector<Ipv4> changed = state.asn_map.take_changed();
   std::vector<char> stale(state.traces.size(), 0);
   for (const Ipv4 addr : changed) {
-    const auto h = state.addrs.find(addr);
+    const auto h = state.fold.addrs.find(addr);
     if (!h) continue;
     for (const std::uint32_t t : state.traces_by_addr[*h]) stale[t] = 1;
   }
@@ -327,23 +285,24 @@ void ConstrainedFacilitySearch::reclassify_changed(
   // exact sequence a full re-ingest would feed absorb — and diff against
   // the previous values to seed the dirty worklist. Slots are stable, so
   // the pre-replay values stay addressable for the comparison.
-  const std::vector<PeeringObservation> old_values = state.store.values_snapshot();
-  const DynamicBitset old_live = state.store.live_bits();
-  state.store.kill_all();
+  ObsStore& store = state.fold.store;
+  const std::vector<PeeringObservation> old_values = store.values_snapshot();
+  const DynamicBitset old_live = store.live_bits();
+  store.kill_all();
   for (const State::TraceCache& cache : state.trace_cache)
     for (const PeeringObservation& obs : cache.obs)
       state.absorb(obs);
 
-  for (std::uint32_t slot = 0;
-       slot < static_cast<std::uint32_t>(state.store.slots()); ++slot) {
-    if (!state.store.live(slot)) continue;
+  for (std::uint32_t slot = 0; slot < static_cast<std::uint32_t>(store.slots());
+       ++slot) {
+    if (!store.live(slot)) continue;
     const bool existed = slot < old_values.size() && old_live.test(slot);
     if (!existed) {
-      const PeeringObservation& obs = state.store.value(slot);
-      state.obs_by_iface[*state.addrs.find(obs.near_addr)].push_back(slot);
-      state.obs_by_iface[*state.addrs.find(obs.far_addr)].push_back(slot);
+      const PeeringObservation& obs = store.value(slot);
+      state.obs_by_iface[*state.fold.addrs.find(obs.near_addr)].push_back(slot);
+      state.obs_by_iface[*state.fold.addrs.find(obs.far_addr)].push_back(slot);
       state.dirty.set(slot);
-    } else if (!(old_values[slot] == state.store.value(slot))) {
+    } else if (!(old_values[slot] == store.value(slot))) {
       state.dirty.set(slot);
     }
   }
@@ -358,20 +317,20 @@ void ConstrainedFacilitySearch::reclassify_changed(
 
 void ConstrainedFacilitySearch::refresh_aliases(State& state,
                                                 IterationMetrics& im) const {
-  if (state.ifaces.present_count() == state.aliased_addr_count) return;
+  const IfaceTable& ifaces = state.fold.ifaces;
+  if (ifaces.present_count() == state.aliased_addr_count) return;
   im.alias_refreshed = true;
   ++state.metrics.alias_refreshes;
 
   TraceSpan alias_timer("cfs.alias_refresh");
-  alias_timer.arg("addresses", state.ifaces.present_count());
+  alias_timer.arg("addresses", ifaces.present_count());
   std::vector<Ipv4> targets;
-  targets.reserve(state.ifaces.present_count());
-  for (std::uint32_t h = 0; h < static_cast<std::uint32_t>(state.ifaces.rows());
-       ++h)
-    if (state.ifaces.present(h)) targets.push_back(state.ifaces.addr(h));
+  targets.reserve(ifaces.present_count());
+  for (std::uint32_t h = 0; h < static_cast<std::uint32_t>(ifaces.rows()); ++h)
+    if (ifaces.present(h)) targets.push_back(ifaces.addr(h));
   std::sort(targets.begin(), targets.end());  // determinism
   state.aliases = state.resolver.resolve(targets);
-  state.aliased_addr_count = state.ifaces.present_count();
+  state.aliased_addr_count = ifaces.present_count();
   state.asn_map.apply_alias_correction(state.aliases);
 
   if (config_.use_border_mapping) {
@@ -418,7 +377,7 @@ void ConstrainedFacilitySearch::refresh_aliases(State& state,
   if (config_.incremental) {
     reclassify_changed(state, im);
   } else {
-    state.store.kill_all();
+    state.fold.store.kill_all();
     state.classified_upto = 0;
     const std::size_t reclassified = ingest_traces(state, {}, nullptr);
     im.reclassified_traces += state.traces.size();
@@ -432,77 +391,41 @@ void ConstrainedFacilitySearch::refresh_aliases(State& state,
 void ConstrainedFacilitySearch::note_candidates_changed(
     State& state, std::uint32_t iface, const std::uint64_t* current) const {
   state.iface_changed[iface] = ++state.tick;
-  if (!config_.incremental) return;
   for (const std::uint32_t slot : state.obs_by_iface[iface]) {
-    if (current != nullptr && state.store.key(slot) > *current)
+    if (current != nullptr && state.fold.store.key(slot) > *current)
       state.dirty.set(slot);  // still ahead of the in-flight pass
     else
       state.pending.set(slot);  // next iteration, like the full engine
   }
 }
 
-ConstrainedFacilitySearch::Directive ConstrainedFacilitySearch::make_directive(
-    const State& state, const RemotePeeringDetector& detector,
-    const PeeringObservation& obs) const {
-  // The decision logic is shared with the stream engine (core/rules.h);
-  // here we only map the plan's near/far roles onto dense row handles.
-  Step2Plan plan = plan_step2(topo_, db_, detector, obs);
-  Directive d;
-  d.owned_near = std::move(plan.owned_near);
-  d.owned_far = std::move(plan.owned_far);
-  const std::uint32_t near = *state.addrs.find(obs.near_addr);
-  const std::uint32_t far = *state.addrs.find(obs.far_addr);
-  for (int i = 0; i < plan.n_acts; ++i) {
-    const Step2Plan::Action& pa = plan.acts[i];
-    Directive::Action& a = d.acts[d.n_acts++];
-    a.iface = pa.side == Step2Plan::Side::Near ? near : far;
-    a.allowed = pa.allowed;
-    a.n = pa.n;
-    a.mark_remote = pa.mark_remote;
-    a.record_ixp = pa.record_ixp;
-  }
-  return d;
-}
-
-void ConstrainedFacilitySearch::apply_directive(
-    State& state, const Directive& directive, IxpId ixp, int iteration,
-    const std::uint64_t* current) const {
-  for (int i = 0; i < directive.n_acts; ++i) {
-    const Directive::Action& a = directive.acts[i];
-    if (a.mark_remote) state.ifaces.mark_remote(a.iface);
-    if (a.allowed != nullptr &&
-        state.ifaces.constrain(a.iface, a.allowed, a.n, iteration))
-      note_candidates_changed(state, a.iface, current);
-    if (a.record_ixp) state.ifaces.add_queried_ixp(a.iface, ixp);
-  }
-}
-
 void ConstrainedFacilitySearch::apply_facility_constraints(
     State& state, int iteration, IterationMetrics& im) const {
   const RemotePeeringDetector detector(config_.remote);
-  const std::vector<std::uint32_t>& order = state.store.order();
-
-  // Pass worklist in ascending key order (== ascending `order` position).
-  std::vector<std::uint32_t> dirty_slots;
   if (!config_.incremental) {
-    im.dirty_observations += state.store.live_count();
-    dirty_slots.reserve(state.store.live_count());
-    for (const std::uint32_t slot : order)
-      if (state.store.live(slot)) dirty_slots.push_back(slot);
-  } else {
-    // Dead-slot bits stay in the count, matching the old worklist whose
-    // vanished keys were counted but skipped.
-    im.dirty_observations += state.dirty.count();
-    dirty_slots.reserve(state.dirty.count());
-    for (const std::uint32_t slot : order)
-      if (state.dirty.test(slot)) dirty_slots.push_back(slot);
+    const std::size_t n =
+        state.fold.step2_pass(topo_, db_, detector, iteration);
+    im.dirty_observations += n;
+    im.constrained_observations += n;
+    return;
   }
 
-  // Speculate directives for the pass worklist in parallel: they are pure
-  // per observation, so the fan-out cannot perturb the serial apply below
-  // — the speculate-then-replay pattern classification already uses.
+  // Pass worklist in ascending key order (== ascending `order` position).
+  // Dead-slot bits stay in the count, matching the old worklist whose
+  // vanished keys were counted but skipped.
+  const std::vector<std::uint32_t>& order = state.fold.store.order();
+  std::vector<std::uint32_t> dirty_slots;
+  im.dirty_observations += state.dirty.count();
+  dirty_slots.reserve(state.dirty.count());
+  for (const std::uint32_t slot : order)
+    if (state.dirty.test(slot)) dirty_slots.push_back(slot);
+
+  // Speculate Step-2 plans for the pass worklist in parallel: they are pure
+  // per observation (core/rules.h), so the fan-out cannot perturb the
+  // serial apply below — the speculate-then-replay pattern classification
+  // already uses.
   constexpr std::size_t kParallelThreshold = 32;
-  std::vector<Directive> specs(dirty_slots.size());
+  std::vector<Step2Plan> specs(dirty_slots.size());
   std::vector<char> have_spec(dirty_slots.size(), 0);
   if (pool_ != nullptr && dirty_slots.size() >= kParallelThreshold) {
     TraceSpan spec_span("cfs.speculate_directives");
@@ -511,26 +434,12 @@ void ConstrainedFacilitySearch::apply_facility_constraints(
         dirty_slots.size(), [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             const std::uint32_t slot = dirty_slots[i];
-            if (!state.store.live(slot)) continue;
-            specs[i] = make_directive(state, detector, state.store.value(slot));
+            if (!state.fold.store.live(slot)) continue;
+            specs[i] =
+                plan_step2(topo_, db_, detector, state.fold.store.value(slot));
             have_spec[i] = 1;
           }
         });
-  }
-
-  if (!config_.incremental) {
-    for (std::size_t i = 0; i < dirty_slots.size(); ++i) {
-      const std::uint32_t slot = dirty_slots[i];
-      const PeeringObservation& obs = state.store.value(slot);
-      if (have_spec[i]) {
-        apply_directive(state, specs[i], obs.ixp, iteration, nullptr);
-      } else {
-        const Directive d = make_directive(state, detector, obs);
-        apply_directive(state, d, obs.ixp, iteration, nullptr);
-      }
-      ++im.constrained_observations;
-    }
-    return;
   }
 
   // Serial ordered apply. Changes made mid-pass re-queue observations:
@@ -547,15 +456,17 @@ void ConstrainedFacilitySearch::apply_facility_constraints(
     // advances exactly when the walk passes it.
     const bool speculated =
         next_spec < dirty_slots.size() && dirty_slots[next_spec] == slot;
-    if (state.store.live(slot)) {  // key may have vanished at refresh
-      const std::uint64_t key = state.store.key(slot);
-      const PeeringObservation& obs = state.store.value(slot);
-      if (speculated && have_spec[next_spec]) {
-        apply_directive(state, specs[next_spec], obs.ixp, iteration, &key);
-      } else {
-        const Directive d = make_directive(state, detector, obs);
-        apply_directive(state, d, obs.ixp, iteration, &key);
-      }
+    if (state.fold.store.live(slot)) {  // key may have vanished at refresh
+      const std::uint64_t key = state.fold.store.key(slot);
+      const PeeringObservation& obs = state.fold.store.value(slot);
+      const auto requeue = [&](std::uint32_t h) {
+        note_candidates_changed(state, h, &key);
+      };
+      if (speculated && have_spec[next_spec])
+        state.fold.apply_step2(specs[next_spec], obs, iteration, requeue);
+      else
+        state.fold.apply_step2(plan_step2(topo_, db_, detector, obs), obs,
+                               iteration, requeue);
       ++im.constrained_observations;
     }
     if (speculated) ++next_spec;
@@ -564,78 +475,51 @@ void ConstrainedFacilitySearch::apply_facility_constraints(
 
 void ConstrainedFacilitySearch::apply_alias_constraints(
     State& state, int iteration, IterationMetrics& im) const {
-  if (config_.incremental &&
-      state.alias_set_ticks.size() != state.aliases.sets.size())
+  if (!config_.incremental) {
+    im.alias_sets_processed +=
+        state.fold.alias_pass(state.aliases, iteration);
+    return;
+  }
+  if (state.alias_set_ticks.size() != state.aliases.sets.size())
     state.alias_set_ticks.assign(state.aliases.sets.size(), 0);
 
-  std::vector<FacilityId> common;  // reused scratch
   for (std::size_t si = 0; si < state.aliases.sets.size(); ++si) {
     const auto& set = state.aliases.sets[si];
     if (set.size() < 2) continue;
-
-    if (config_.incremental) {
-      // Intersecting unchanged candidate sets reproduces the members'
-      // current candidates — a no-op. Skip unless some member's candidates
-      // moved since this set was last processed.
-      bool dirty = false;
-      for (const Ipv4 addr : set) {
-        const auto h = state.addrs.find(addr);
-        if (h && state.iface_changed[*h] > state.alias_set_ticks[si]) {
-          dirty = true;
-          break;
-        }
-      }
-      if (!dirty) continue;
-    }
-    ++im.alias_sets_processed;
-
-    // Intersect the candidate sets of all constrained members.
-    common.clear();
-    bool first = true;
-    bool any = false;
+    // Intersecting unchanged candidate sets reproduces the members'
+    // current candidates — a no-op. Skip unless some member's candidates
+    // moved since this set was last processed.
+    bool dirty = false;
     for (const Ipv4 addr : set) {
-      const auto h = state.addrs.find(addr);
-      if (!h || !state.ifaces.present(*h) || !state.ifaces.has_constraint(*h))
-        continue;
-      any = true;
-      const FacilityId* data = state.ifaces.cand_data(*h);
-      const std::uint32_t n = state.ifaces.cand_size(*h);
-      if (first) {
-        common.assign(data, data + n);
-        first = false;
-      } else {
-        common.resize(intersect_in_place(common.data(), common.size(),
-                                         data, n));
+      const auto h = state.fold.addrs.find(addr);
+      if (h && state.iface_changed[*h] > state.alias_set_ticks[si]) {
+        dirty = true;
+        break;
       }
     }
-    if (any && !common.empty()) {
-      for (const Ipv4 addr : set) {
-        const auto h = state.addrs.find(addr);
-        if (!h || !state.ifaces.present(*h)) continue;
-        if (state.ifaces.constrain(*h, common.data(), common.size(),
-                                   iteration))
-          note_candidates_changed(state, *h, nullptr);
-      }
-    }
-    if (config_.incremental) state.alias_set_ticks[si] = state.tick;
+    if (!dirty) continue;
+    ++im.alias_sets_processed;
+    state.fold.intersect_alias_set(set, iteration, [&](std::uint32_t h) {
+      note_candidates_changed(state, h, nullptr);
+    });
+    state.alias_set_ticks[si] = state.tick;
   }
 }
 
 std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
     State& state, int iteration, IterationMetrics& im) const {
+  const IfaceTable& ifaces = state.fold.ifaces;
   // Gather unresolved-but-constrained interfaces, tightest first (they are
   // one good constraint away from resolution).
   std::vector<std::uint32_t> unresolved;
-  for (std::uint32_t h = 0; h < static_cast<std::uint32_t>(state.ifaces.rows());
-       ++h)
-    if (state.ifaces.present(h) && state.ifaces.has_constraint(h) &&
-        !state.ifaces.resolved(h))
+  for (std::uint32_t h = 0; h < static_cast<std::uint32_t>(ifaces.rows()); ++h)
+    if (ifaces.present(h) && ifaces.has_constraint(h) && !ifaces.resolved(h))
       unresolved.push_back(h);
   std::sort(unresolved.begin(), unresolved.end(),
-            [&state](std::uint32_t a, std::uint32_t b) {
-              if (state.ifaces.cand_size(a) != state.ifaces.cand_size(b))
-                return state.ifaces.cand_size(a) < state.ifaces.cand_size(b);
-              return state.ifaces.addr(a) < state.ifaces.addr(b);
+            [&ifaces](std::uint32_t a, std::uint32_t b) {
+              if (ifaces.cand_size(a) != ifaces.cand_size(b))
+                return ifaces.cand_size(a) < ifaces.cand_size(b);
+              return ifaces.addr(a) < ifaces.addr(b);
             });
   im.followup_pool = unresolved.size();
   im.followup_budget =
@@ -655,9 +539,9 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
   for (std::size_t slot = 0; slot < unresolved.size(); ++slot) {
     const std::uint32_t h = unresolved[(offset + slot) % unresolved.size()];
     if (chased >= config_.followup_interfaces) break;
-    const Asn iface_asn = state.ifaces.asn(h);
-    const FacilityId* cands = state.ifaces.cand_data(h);
-    const std::uint32_t n_cands = state.ifaces.cand_size(h);
+    const Asn iface_asn = ifaces.asn(h);
+    const FacilityId* cands = ifaces.cand_data(h);
+    const std::uint32_t n_cands = ifaces.cand_size(h);
 
     // Candidate target ASes: present at one of the interface's candidate
     // facilities, preferring the smallest overlap (most constraining) and
@@ -685,7 +569,7 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
           // A traceroute can only add a constraint for this AS's router if
           // it exits through it: known neighbors are far more likely to.
           if (!state.as_neighbors(iface_asn, cand)) score += 5.0;
-          for (const IxpId ixp : state.ifaces.queried_ixps(h)) {
+          for (const IxpId ixp : ifaces.queried_ixps(h)) {
             if (set_intersects(ft, db_.ixp_facilities(ixp)))
               score += 10.0;  // already-queried IXP: deprioritise
           }
@@ -714,7 +598,7 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
     // own AS (paper Section 5: 46% of LG-visible interfaces sit in transit
     // backbones Atlas never reaches), topped up with random picks.
     std::vector<const VantagePoint*> probes;
-    for (const VantagePointId vp : state.ifaces.seen_from(h)) {
+    for (const VantagePointId vp : ifaces.seen_from(h)) {
       if (probes.size() >= 2) break;
       probes.push_back(&vps_.vp(vp));
     }
@@ -752,14 +636,15 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
 
   // Reverse-direction probes for unresolved far ends (Section 4.3).
   std::vector<PeeringObservation> observations;
-  observations.reserve(state.store.live_count());
-  for (const std::uint32_t slot : state.store.order())
-    if (state.store.live(slot)) observations.push_back(state.store.value(slot));
+  observations.reserve(state.fold.store.live_count());
+  for (const std::uint32_t slot : state.fold.store.order())
+    if (state.fold.store.live(slot))
+      observations.push_back(state.fold.store.value(slot));
   const auto reverse_plan = plan_reverse_probes(
       topo_, vps_,
-      [&state](Ipv4 far) {
-        const auto fh = state.addrs.find(far);
-        return fh && state.ifaces.present(*fh) && !state.ifaces.resolved(*fh);
+      [&state, &ifaces](Ipv4 far) {
+        const auto fh = state.fold.addrs.find(far);
+        return fh && ifaces.present(*fh) && !ifaces.resolved(*fh);
       },
       observations, /*budget=*/16, config_.platform_filter);
   for (const ReverseProbe& probe : reverse_plan) {
@@ -838,15 +723,15 @@ CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
 
     std::size_t resolved = 0;
     for (std::uint32_t h = 0;
-         h < static_cast<std::uint32_t>(state.ifaces.rows()); ++h)
-      resolved += state.ifaces.present(h) && state.ifaces.resolved(h);
+         h < static_cast<std::uint32_t>(state.fold.ifaces.rows()); ++h)
+      resolved += state.fold.ifaces.present(h) && state.fold.ifaces.resolved(h);
     state.history.push_back(resolved);
     im.resolved = resolved;
-    im.observations = state.store.live_count();
-    im.interfaces = state.ifaces.present_count();
+    im.observations = state.fold.store.live_count();
+    im.interfaces = state.fold.ifaces.present_count();
 
-    const bool done = resolved == state.ifaces.present_count() &&
-                      state.ifaces.present_count() != 0;
+    const bool done = resolved == state.fold.ifaces.present_count() &&
+                      state.fold.ifaces.present_count() != 0;
     if (!done && iteration < config_.max_iterations) {
       TraceSpan followup_timer("cfs.followups");
       std::vector<TraceResult> fresh = launch_followups(state, iteration, im);
@@ -863,59 +748,16 @@ CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
   }
 
   // ---- final classification of each crossing ----
-  CfsReport report;
-  report.interfaces.reserve(state.ifaces.present_count());
-  for (std::uint32_t h = 0; h < static_cast<std::uint32_t>(state.ifaces.rows());
-       ++h)
-    if (state.ifaces.present(h))
-      report.interfaces.emplace(state.ifaces.addr(h),
-                                state.ifaces.materialize(h));
+  TraceSpan link_span("cfs.link_classify");
+  link_span.arg("observations", state.fold.store.live_count());
+  CfsReport report = state.fold.build_report(
+      db_, RemotePeeringDetector(config_.remote));
+  link_span.arg("links", report.links.size());
+  link_span.stop();
   report.aliases = std::move(state.aliases);
   report.resolved_per_iteration = std::move(state.history);
   report.traces_used = state.traces.size();
   report.iterations_run = std::min(iteration, config_.max_iterations);
-
-  const RemotePeeringDetector detector(config_.remote);
-  ProximityHeuristic proximity;
-
-  TraceSpan link_span("cfs.link_classify");
-  link_span.arg("observations", state.store.live_count());
-
-  for (const std::uint32_t slot : state.store.order()) {
-    if (!state.store.live(slot)) continue;
-    const PeeringObservation& obs = state.store.value(slot);
-    LinkInference link;
-    link.obs = obs;
-    const auto* near = report.find(obs.near_addr);
-    const auto* far = report.find(obs.far_addr);
-    if (near != nullptr && near->resolved())
-      link.near_facility = near->facility();
-    if (far != nullptr && far->resolved()) link.far_facility = far->facility();
-
-    const LinkTypeDecision decision = classify_link_type(
-        db_, detector, obs, near != nullptr && near->remote_suspect);
-    link.type = decision.type;
-    if (obs.kind == PeeringKind::Public && link.near_facility &&
-        link.far_facility && !decision.far_remote)
-      proximity.observe(obs.ixp, *link.near_facility, *link.far_facility);
-    report.links.push_back(std::move(link));
-  }
-
-  // Switch-proximity fallback for far ends still ambiguous (Section 4.4).
-  for (LinkInference& link : report.links) {
-    if (link.obs.kind != PeeringKind::Public) continue;
-    if (link.far_facility || !link.near_facility) continue;
-    const auto* far = report.find(link.obs.far_addr);
-    if (far == nullptr || !far->has_constraint) continue;
-    const auto inferred = proximity.infer_far(
-        link.obs.ixp, *link.near_facility, far->candidates);
-    if (inferred) {
-      link.far_facility = inferred;
-      link.far_by_proximity = true;
-    }
-  }
-  link_span.arg("links", report.links.size());
-  link_span.stop();
 
   // Snapshot the measurement plane's attrition accounting (the campaign
   // outlives individual runs, so these are campaign-lifetime totals) and
@@ -928,7 +770,7 @@ CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
   // export — outside every byte-equivalence comparison — and feed the
   // memory columns of BENCH_parallel.json.
   Trace::gauge("cfs.arena_bytes",
-               static_cast<double>(state.ifaces.arena_bytes()));
+               static_cast<double>(state.fold.ifaces.arena_bytes()));
   Trace::gauge("cfs.arena_reserved_bytes",
                static_cast<double>(Arena::process_reserved_bytes()));
   Trace::gauge("cfs.tail_spilled_bytes",

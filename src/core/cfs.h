@@ -20,22 +20,22 @@
 // cached against the InterfaceAsnMap generation so an alias refresh only
 // re-derives traces that traverse a corrected address, and constraint
 // passes walk a dirty set of observations whose endpoint candidate sets
-// changed instead of the whole store. Because InterfaceInference::constrain
-// only ever intersects, re-applying an observation whose inputs did not
-// change is a no-op — both engines produce identical reports
+// changed instead of the whole store. Because IfaceTable::constrain only
+// ever intersects, re-applying an observation whose inputs did not change
+// is a no-op — both engines produce identical reports
 // (tests/core/incremental_test.cpp asserts it). Per-stage accounting lands
 // in CfsReport::metrics.
 //
-// Hot-path layout (docs/ALGORITHM.md "Memory layout"): addresses are
-// interned into dense u32 handles at ingest; per-interface state lives in
-// a flat SoA table with arena-backed candidate spans (core/iface_table.h);
-// observations live in a slot-stable key-ordered store (core/obs_store.h)
-// with the dirty/pending worklists as bitsets over slots. The constraint
-// fold speculates per-observation directives in parallel on the pool (they
-// are pure functions of the observation and the databases) and applies
-// them serially in ascending key order, so reports are byte-identical at
-// any --threads N. Strings survive only at the ingest and export
-// boundaries.
+// Steps 2-3 and the final report run in the fold shared with the stream
+// engine (core/fold.h): addresses interned into dense u32 handles, a flat
+// SoA interface table with arena-backed candidate spans
+// (core/iface_table.h) and a slot-stable key-ordered observation store
+// (core/obs_store.h) — docs/ALGORITHM.md "Memory layout". This engine adds
+// the dirty/pending worklists as bitsets over slots, speculates
+// per-observation Step-2 plans in parallel on the pool (they are pure
+// functions of the observation and the databases) and applies them
+// serially in ascending key order, so reports are byte-identical at any
+// --threads N. Strings survive only at the ingest and export boundaries.
 //
 // CFS deliberately sees only the public-information layers: the merged
 // facility database, the IP-to-ASN service, DNS-free traceroute output and
@@ -112,13 +112,6 @@ class ConstrainedFacilitySearch {
 
  private:
   struct State;
-  // A precomputed Step-2 plan for one observation: which interfaces to
-  // constrain with which (immutable) facility lists, plus the remote-
-  // suspect and queried-IXP side effects. Directives are a pure function
-  // of the observation and the public databases — no mutable engine state
-  // — so they can be speculated in parallel and applied serially in key
-  // order with byte-identical results at any thread count.
-  struct Directive;
 
   // Classifies traces appended past classified_upto into the observation
   // store (and, incrementally, the per-trace cache + address index).
@@ -137,13 +130,9 @@ class ConstrainedFacilitySearch {
   // iteration.
   void note_candidates_changed(State& state, std::uint32_t iface,
                                const std::uint64_t* current) const;
-  // Step 2 for a single observation, split into a pure planning half...
-  [[nodiscard]] Directive make_directive(const State& state,
-                                         const RemotePeeringDetector& detector,
-                                         const PeeringObservation& obs) const;
-  // ...and a serial application half (the only part that mutates rows).
-  void apply_directive(State& state, const Directive& directive, IxpId ixp,
-                       int iteration, const std::uint64_t* current) const;
+  // Steps 2 and 3. The full engine runs the shared fold's full passes
+  // (core/fold.h); the incremental engine walks its worklists through the
+  // same per-observation and per-alias-set primitives.
   void apply_facility_constraints(State& state, int iteration,
                                   IterationMetrics& im) const;
   void apply_alias_constraints(State& state, int iteration,

@@ -14,9 +14,10 @@
 // (constraints only intersect), so the arena is append-only for the
 // lifetime of a run and freed wholesale with it.
 //
-// report-facing InterfaceInference values are materialised per row at the
-// end of a run; the semantics of `constrain` are a field-for-field
-// transcription of InterfaceInference::constrain (core/candidates.cpp).
+// `constrain` is the only candidate-narrowing code in the system: both
+// engines reach it through the shared fold (core/fold.h). Report-facing
+// InterfaceInference values (core/candidates.h) are materialised per row
+// when the report is built.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +70,11 @@ class IfaceTable {
     return queried_ixps_[h];
   }
 
-  // Intersects the row's candidate span with allowed[0..n); identical
-  // narrowing/conflict semantics to InterfaceInference::constrain.
+  // Intersects the row's candidate span with the sorted-unique
+  // allowed[0..n). The first constraint adopts the list; an empty list is
+  // ignored; an intersection that would empty the set is counted as a
+  // conflict and ignored (stale data must not erase good constraints).
+  // `iteration` is recorded when the set first becomes a singleton.
   // Returns true when the set narrowed (or was first assigned).
   bool constrain(Handle h, const FacilityId* allowed, std::size_t n,
                  int iteration);

@@ -42,12 +42,18 @@ CfsReport::RouterStats CfsReport::router_stats() const {
     bool private_peering = false;
     std::set<std::uint32_t> ixps;
   };
-  std::unordered_map<int, Roles> by_router;
+  std::unordered_map<std::size_t, Roles> by_router;
   std::unordered_map<Ipv4, Roles> singletons;
 
+  // Address -> alias-set index, built once; an address listed in several
+  // sets keeps the lowest index, as AliasSets::set_of reports it.
+  std::unordered_map<Ipv4, std::size_t> set_index;
+  for (std::size_t i = 0; i < aliases.sets.size(); ++i)
+    for (const Ipv4 addr : aliases.sets[i]) set_index.try_emplace(addr, i);
+
   auto roles_for = [&](Ipv4 addr) -> Roles& {
-    const int set = aliases.set_of(addr);
-    if (set >= 0) return by_router[set];
+    const auto it = set_index.find(addr);
+    if (it != set_index.end()) return by_router[it->second];
     return singletons[addr];
   };
 

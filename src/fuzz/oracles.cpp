@@ -327,7 +327,7 @@ std::optional<OracleFailure> check_pinning(const Scenario& s) {
                 std::make_move_iterator(extra.end()));
   const CfsReport after = wider.run_cfs(std::move(traces));
 
-  // InterfaceInference::constrain only ever intersects, and a constraint
+  // IfaceTable::constrain only ever intersects, and a constraint
   // that would empty the set is recorded as a conflict and ignored. For an
   // interface with zero conflicts in both runs the final candidate set is
   // a plain intersection of its constraints; arm B applies a superset of

@@ -1,12 +1,9 @@
 #include "stream/engine.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
-#include "core/candidates.h"
-#include "core/proximity.h"
-#include "core/rules.h"
+#include "core/fold.h"
 #include "io/export.h"
 
 namespace cfs {
@@ -136,120 +133,21 @@ StreamSnapshot StreamEngine::fold_epoch(std::span<const StreamEvent> events) {
   }
   cooked_upto_ = traces_.size();
 
-  // ---- 7. merge observations + interface side-state, in trace order ----
-  // Canonical (near, far) pair order; first observation wins the fields,
-  // RTTs take the per-pair minimum — classify_all's merge rule.
-  std::map<std::pair<Ipv4, Ipv4>, PeeringObservation> merged;
-  std::map<Ipv4, InterfaceInference> ifaces;
-  const auto touch = [&ifaces](Ipv4 addr, Asn asn) -> InterfaceInference& {
-    InterfaceInference& inf = ifaces[addr];
-    inf.addr = addr;  // last writer wins, as in the batch table
-    inf.asn = asn;
-    return inf;
-  };
-  for (std::size_t t = 0; t < traces_.size(); ++t) {
-    for (const PeeringObservation& obs : cooked_obs_[t]) {
-      const auto [it, created] =
-          merged.try_emplace({obs.near_addr, obs.far_addr}, obs);
-      if (!created) {
-        it->second.near_rtt_ms =
-            std::min(it->second.near_rtt_ms, obs.near_rtt_ms);
-        it->second.far_rtt_ms = std::min(it->second.far_rtt_ms, obs.far_rtt_ms);
-      }
-      InterfaceInference& near = touch(obs.near_addr, obs.near_as);
-      if (std::find(near.seen_from.begin(), near.seen_from.end(), obs.vp) ==
-          near.seen_from.end())
-        near.seen_from.push_back(obs.vp);
-      touch(obs.far_addr, obs.far_as);
-    }
-  }
-
-  // ---- 8. Step-2 facility pass, canonical pair order ----
+  // ---- 7. one fresh fold: merge in trace order, Steps 2-3, report ----
+  // The batch engine's kernel (core/fold.h) at iteration 0: one Step-2 pass
+  // in key order, one alias pass in set order, then link typing.
+  ConstraintFold fold;
+  for (const std::vector<PeeringObservation>& obs_list : cooked_obs_)
+    for (const PeeringObservation& obs : obs_list) fold.absorb(obs);
   const RemotePeeringDetector detector(config_.remote);
-  for (const auto& [key, obs] : merged) {
-    const Step2Plan plan = plan_step2(topo_, db_, detector, obs);
-    for (int i = 0; i < plan.n_acts; ++i) {
-      const Step2Plan::Action& act = plan.acts[i];
-      InterfaceInference& inf = ifaces.at(
-          act.side == Step2Plan::Side::Near ? obs.near_addr : obs.far_addr);
-      if (act.mark_remote) inf.remote_suspect = true;
-      if (act.allowed != nullptr) {
-        const std::vector<FacilityId> allowed(act.allowed,
-                                              act.allowed + act.n);
-        inf.constrain(allowed, 0);
-      }
-      if (act.record_ixp &&
-          std::find(inf.queried_ixps.begin(), inf.queried_ixps.end(),
-                    obs.ixp) == inf.queried_ixps.end())
-        inf.queried_ixps.push_back(obs.ixp);
-    }
-  }
-
-  // ---- 9. alias propagation (Step 3), one pass in set order ----
-  std::vector<FacilityId> common;
-  for (const auto& set : aliases_.sets) {
-    if (set.size() < 2) continue;
-    common.clear();
-    bool first = true;
-    bool any = false;
-    for (const Ipv4 addr : set) {
-      const auto it = ifaces.find(addr);
-      if (it == ifaces.end() || !it->second.has_constraint) continue;
-      any = true;
-      if (first) {
-        common = it->second.candidates;
-        first = false;
-      } else {
-        common = facility_intersection(common, it->second.candidates);
-      }
-    }
-    if (!any || common.empty()) continue;
-    for (const Ipv4 addr : set) {
-      const auto it = ifaces.find(addr);
-      if (it != ifaces.end()) it->second.constrain(common, 0);
-    }
-  }
-
-  // ---- 10. report + link typing (same final pass as the batch engine) ----
-  CfsReport report;
-  report.interfaces.reserve(ifaces.size());
-  for (const auto& [addr, inf] : ifaces) report.interfaces.emplace(addr, inf);
+  fold.step2_pass(topo_, db_, detector, /*iteration=*/0);
+  fold.alias_pass(aliases_, /*iteration=*/0);
+  CfsReport report = fold.build_report(db_, detector);
   report.aliases = aliases_;
   report.traces_used = traces_.size();
   report.iterations_run = 0;
 
-  ProximityHeuristic proximity;
-  for (const auto& [key, obs] : merged) {
-    LinkInference link;
-    link.obs = obs;
-    const InterfaceInference* near = report.find(obs.near_addr);
-    const InterfaceInference* far = report.find(obs.far_addr);
-    if (near != nullptr && near->resolved())
-      link.near_facility = near->facility();
-    if (far != nullptr && far->resolved()) link.far_facility = far->facility();
-
-    const LinkTypeDecision decision = classify_link_type(
-        db_, detector, obs, near != nullptr && near->remote_suspect);
-    link.type = decision.type;
-    if (obs.kind == PeeringKind::Public && link.near_facility &&
-        link.far_facility && !decision.far_remote)
-      proximity.observe(obs.ixp, *link.near_facility, *link.far_facility);
-    report.links.push_back(std::move(link));
-  }
-  for (LinkInference& link : report.links) {
-    if (link.obs.kind != PeeringKind::Public) continue;
-    if (link.far_facility || !link.near_facility) continue;
-    const InterfaceInference* far = report.find(link.obs.far_addr);
-    if (far == nullptr || !far->has_constraint) continue;
-    const auto inferred = proximity.infer_far(
-        link.obs.ixp, *link.near_facility, far->candidates);
-    if (inferred) {
-      link.far_facility = inferred;
-      link.far_by_proximity = true;
-    }
-  }
-
-  // ---- 11. snapshot + canonical bytes ----
+  // ---- 8. snapshot + canonical bytes ----
   StreamSnapshot snapshot;
   snapshot.epoch = ++epoch_;
   snapshot.last_ts_ns = last_ts_ns_;

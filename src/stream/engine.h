@@ -22,9 +22,10 @@
 //     the epoch partition;
 //   * per-trace classifications under the corrected map are cached and
 //     invalidated by diffing consecutive epochs' correction tables;
-//   * observation merging, Step-2 constraint planning (core/rules.h),
-//     alias propagation and link typing run from scratch per epoch over
-//     std::map containers in canonical (address) order.
+//   * observation merging, Step 2, alias propagation and link typing run
+//     from scratch per epoch in one fresh ConstraintFold (core/fold.h), the
+//     batch engine's own kernel, whose passes walk observations in
+//     canonical (near, far) key order.
 //
 // The expensive stages — classification, alias probing — are incremental;
 // the per-epoch fold is linear in accumulated state. Classification fans

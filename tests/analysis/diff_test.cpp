@@ -14,14 +14,16 @@ Ipv4 ip(std::uint32_t v) { return Ipv4(v); }
 InterfaceInference resolved_iface(Ipv4 addr, FacilityId fac) {
   InterfaceInference inf;
   inf.addr = addr;
-  inf.constrain({fac}, 1);
+  inf.has_constraint = true;
+  inf.candidates = {fac};
   return inf;
 }
 
 InterfaceInference open_iface(Ipv4 addr) {
   InterfaceInference inf;
   inf.addr = addr;
-  inf.constrain({FacilityId(1), FacilityId(2)}, 1);
+  inf.has_constraint = true;
+  inf.candidates = {FacilityId(1), FacilityId(2)};
   return inf;
 }
 

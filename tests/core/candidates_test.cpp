@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/iface_table.h"
+
 #include "support/mini_net.h"
 
 namespace cfs {
@@ -26,62 +28,80 @@ TEST(Candidates, SubsetBasics) {
   EXPECT_FALSE(facility_subset(facs({1, 9}), facs({1, 2, 5})));
 }
 
+// Candidate narrowing lives in IfaceTable::constrain, the one constraint
+// kernel both engines share (core/fold.h). Row 0 of a one-row table is the
+// interface under test.
+struct OneRow {
+  IfaceTable table;
+  OneRow() {
+    table.ensure_rows(1);
+    table.touch(0, Ipv4(0x0a000001), Asn(64500));
+  }
+  bool constrain(const std::vector<FacilityId>& allowed, int iteration) {
+    return table.constrain(0, allowed.data(), allowed.size(), iteration);
+  }
+  [[nodiscard]] InterfaceInference row() const { return table.materialize(0); }
+};
+
 TEST(Candidates, FirstConstraintAdopted) {
-  InterfaceInference inf;
-  EXPECT_FALSE(inf.has_constraint);
-  EXPECT_TRUE(inf.constrain(facs({1, 2, 5}), 3));
-  EXPECT_TRUE(inf.has_constraint);
-  EXPECT_FALSE(inf.resolved());
-  EXPECT_EQ(inf.resolved_iteration, -1);
+  OneRow t;
+  EXPECT_FALSE(t.table.has_constraint(0));
+  EXPECT_TRUE(t.constrain(facs({1, 2, 5}), 3));
+  EXPECT_TRUE(t.table.has_constraint(0));
+  EXPECT_FALSE(t.table.resolved(0));
+  EXPECT_EQ(t.row().candidates, facs({1, 2, 5}));
+  EXPECT_EQ(t.row().resolved_iteration, -1);
 }
 
 TEST(Candidates, IntersectionNarrowsToResolution) {
-  InterfaceInference inf;
-  inf.constrain(facs({2, 5}), 1);       // paper Fig. 5: A.1 -> {f2, f5}
-  EXPECT_TRUE(inf.constrain(facs({1, 2}), 2));  // A.3 -> {f1, f2}
-  EXPECT_TRUE(inf.resolved());
-  EXPECT_EQ(inf.facility(), FacilityId(2));
-  EXPECT_EQ(inf.resolved_iteration, 2);
+  OneRow t;
+  t.constrain(facs({2, 5}), 1);                // paper Fig. 5: A.1 -> {f2, f5}
+  EXPECT_TRUE(t.constrain(facs({1, 2}), 2));   // A.3 -> {f1, f2}
+  EXPECT_TRUE(t.table.resolved(0));
+  EXPECT_EQ(t.row().facility(), FacilityId(2));
+  EXPECT_EQ(t.row().resolved_iteration, 2);
 }
 
 TEST(Candidates, EmptyIntersectionIsConflictNotErasure) {
-  InterfaceInference inf;
-  inf.constrain(facs({1, 2}), 1);
-  EXPECT_FALSE(inf.constrain(facs({7, 8}), 2));
-  EXPECT_EQ(inf.candidates, facs({1, 2}));
-  EXPECT_EQ(inf.conflicts, 1);
+  OneRow t;
+  t.constrain(facs({1, 2}), 1);
+  EXPECT_FALSE(t.constrain(facs({7, 8}), 2));
+  EXPECT_EQ(t.row().candidates, facs({1, 2}));
+  EXPECT_EQ(t.row().conflicts, 1);
 }
 
 TEST(Candidates, EmptyAllowedIsIgnored) {
-  InterfaceInference inf;
-  EXPECT_FALSE(inf.constrain({}, 1));
-  EXPECT_FALSE(inf.has_constraint);
+  OneRow t;
+  EXPECT_FALSE(t.constrain({}, 1));
+  EXPECT_FALSE(t.table.has_constraint(0));
 }
 
 TEST(Candidates, RepeatedSameConstraintIsNoop) {
-  InterfaceInference inf;
-  inf.constrain(facs({1, 2}), 1);
-  EXPECT_FALSE(inf.constrain(facs({1, 2}), 2));
-  EXPECT_EQ(inf.conflicts, 0);
+  OneRow t;
+  t.constrain(facs({1, 2}), 1);
+  EXPECT_FALSE(t.constrain(facs({1, 2}), 2));
+  EXPECT_EQ(t.row().conflicts, 0);
 }
 
 TEST(Candidates, ResolvedIterationRecordedOnFirstConstraintWhenSingleton) {
-  InterfaceInference inf;
-  inf.constrain(facs({4}), 7);
-  EXPECT_TRUE(inf.resolved());
-  EXPECT_EQ(inf.resolved_iteration, 7);
+  OneRow t;
+  t.constrain(facs({4}), 7);
+  EXPECT_TRUE(t.table.resolved(0));
+  EXPECT_EQ(t.row().resolved_iteration, 7);
 }
 
 TEST(Candidates, CityLevelConstraint) {
   testing::MiniNet net;  // fac 0..3 in metro m0, fac 4..5 in m1
   InterfaceInference inf;
-  inf.constrain(facs({1, 2, 3}), 1);
+  inf.has_constraint = true;
+  inf.candidates = facs({1, 2, 3});
   const auto city = inf.city(net.topo);
   ASSERT_TRUE(city.has_value());
   EXPECT_EQ(*city, net.m0);
 
   InterfaceInference cross_metro;
-  cross_metro.constrain(facs({1, 4}), 1);
+  cross_metro.has_constraint = true;
+  cross_metro.candidates = facs({1, 4});
   EXPECT_FALSE(cross_metro.city(net.topo).has_value());
 
   InterfaceInference unconstrained;

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "core/candidates.h"
+#include "core/iface_table.h"
 #include "core/pipeline.h"
 #include "core/remote.h"
 
@@ -168,8 +169,11 @@ TEST(IncrementalCfs, UnsortedFacilityInputsAssertInDebug) {
   EXPECT_DEBUG_DEATH(facility_intersection(unsorted, sorted), "sorted");
   EXPECT_DEBUG_DEATH(std::ignore = facility_subset(sorted, unsorted),
                      "sorted");
-  InterfaceInference inf;
-  EXPECT_DEBUG_DEATH(std::ignore = inf.constrain(unsorted, 1), "sorted");
+  IfaceTable table;
+  table.ensure_rows(1);
+  EXPECT_DEBUG_DEATH(
+      std::ignore = table.constrain(0, unsorted.data(), unsorted.size(), 1),
+      "sorted");
 }
 
 }  // namespace

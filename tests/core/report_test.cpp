@@ -34,12 +34,14 @@ TEST(Report, ResolutionCounting) {
   CfsReport report;
   InterfaceInference resolved;
   resolved.addr = ip(1);
-  resolved.constrain({FacilityId(3)}, 1);
+  resolved.has_constraint = true;
+  resolved.candidates = {FacilityId(3)};
   report.interfaces.emplace(resolved.addr, resolved);
 
   InterfaceInference open_set;
   open_set.addr = ip(2);
-  open_set.constrain({FacilityId(3), FacilityId(4)}, 1);
+  open_set.has_constraint = true;
+  open_set.candidates = {FacilityId(3), FacilityId(4)};
   report.interfaces.emplace(open_set.addr, open_set);
 
   InterfaceInference no_data;

@@ -55,7 +55,8 @@ TEST(Reverse, PlansProbesFromFarSideVantagePoints) {
   InterfaceInference far;
   far.addr = obs.far_addr;
   far.asn = fx.e;
-  far.constrain({fx.net.fac[2], fx.net.fac[3]}, 1);  // unresolved
+  far.has_constraint = true;
+  far.candidates = {fx.net.fac[2], fx.net.fac[3]};  // unresolved
   interfaces.emplace(far.addr, far);
 
   const auto plan =
@@ -74,7 +75,8 @@ TEST(Reverse, SkipsResolvedFarEnds) {
   InterfaceInference far;
   far.addr = obs.far_addr;
   far.asn = fx.e;
-  far.constrain({fx.net.fac[3]}, 1);  // already resolved
+  far.has_constraint = true;
+  far.candidates = {fx.net.fac[3]};  // already resolved
   interfaces.emplace(far.addr, far);
   EXPECT_TRUE(
       plan_reverse_probes(fx.net.topo, *fx.vps, interfaces, {obs}, 8).empty());
@@ -88,7 +90,8 @@ TEST(Reverse, SkipsPrivateObservations) {
   InterfaceInference far;
   far.addr = obs.far_addr;
   far.asn = fx.e;
-  far.constrain({fx.net.fac[2], fx.net.fac[3]}, 1);
+  far.has_constraint = true;
+  far.candidates = {fx.net.fac[2], fx.net.fac[3]};
   interfaces.emplace(far.addr, far);
   EXPECT_TRUE(
       plan_reverse_probes(fx.net.topo, *fx.vps, interfaces, {obs}, 8).empty());
@@ -101,7 +104,8 @@ TEST(Reverse, HonoursBudget) {
   InterfaceInference far;
   far.addr = obs.far_addr;
   far.asn = fx.e;
-  far.constrain({fx.net.fac[2], fx.net.fac[3]}, 1);
+  far.has_constraint = true;
+  far.candidates = {fx.net.fac[2], fx.net.fac[3]};
   interfaces.emplace(far.addr, far);
   EXPECT_LE(
       plan_reverse_probes(fx.net.topo, *fx.vps, interfaces, {obs}, 1).size(),
@@ -117,7 +121,8 @@ TEST(Reverse, PlatformFilterRestrictsVantagePoints) {
   InterfaceInference far;
   far.addr = obs.far_addr;
   far.asn = fx.e;
-  far.constrain({fx.net.fac[2], fx.net.fac[3]}, 1);
+  far.has_constraint = true;
+  far.candidates = {fx.net.fac[2], fx.net.fac[3]};
   interfaces.emplace(far.addr, far);
   // All VPs in E are Atlas hosts; filtering to LookingGlass excludes them.
   EXPECT_TRUE(plan_reverse_probes(fx.net.topo, *fx.vps, interfaces, {obs}, 8,
@@ -135,7 +140,8 @@ TEST(Reverse, DeduplicatesFarAddresses) {
   InterfaceInference far;
   far.addr = obs.far_addr;
   far.asn = fx.e;
-  far.constrain({fx.net.fac[2], fx.net.fac[3]}, 1);
+  far.has_constraint = true;
+  far.candidates = {fx.net.fac[2], fx.net.fac[3]};
   interfaces.emplace(far.addr, far);
   // The same observation repeated must not double the plan.
   const auto plan = plan_reverse_probes(fx.net.topo, *fx.vps, interfaces,

@@ -153,13 +153,15 @@ TEST(Validation, OracleScoresResolvedInterfaces) {
   InterfaceInference right;
   right.addr = link.a.address;
   right.asn = fx.c;
-  right.constrain({fx.net.fac[2]}, 1);
+  right.has_constraint = true;
+  right.candidates = {fx.net.fac[2]};
   report.interfaces.emplace(right.addr, right);
 
   InterfaceInference same_metro_wrong;
   same_metro_wrong.addr = link.b.address;
   same_metro_wrong.asn = fx.a;
-  same_metro_wrong.constrain({fx.net.fac[1]}, 1);  // wrong bldg, same metro
+  same_metro_wrong.has_constraint = true;
+  same_metro_wrong.candidates = {fx.net.fac[1]};  // wrong bldg, same metro
   report.interfaces.emplace(same_metro_wrong.addr, same_metro_wrong);
 
   const auto acc = fx.harness->oracle_interface_accuracy(report);
@@ -182,7 +184,8 @@ TEST(Validation, BreakdownCoversCooperatingOperatorOnly) {
     InterfaceInference inf;
     inf.addr = addr;
     inf.asn = asn;
-    inf.constrain({fx.net.fac[2]}, 1);
+    inf.has_constraint = true;
+    inf.candidates = {fx.net.fac[2]};
     report.interfaces.emplace(addr, inf);
   }
   LinkInference li;
