@@ -8,6 +8,7 @@
 #include "core/fold.h"
 #include "core/reverse.h"
 #include "core/rules.h"
+#include "core/trace_cache.h"
 #include "util/arena.h"
 #include "util/intern.h"
 #include "util/log.h"
@@ -19,19 +20,14 @@ namespace cfs {
 
 struct ConstrainedFacilitySearch::State {
   State(const IpToAsnService& ip2asn, const Topology& topo,
-        std::uint64_t seed)
-      : asn_map(ip2asn), resolver(topo, seed), border(ip2asn),
-        rng(seed ^ 0x5eedULL) {}
+        std::uint64_t seed, corpus::TraceStore rows, ThreadPool* pool)
+      : cache(std::move(rows), pool), asn_map(ip2asn), resolver(topo, seed),
+        border(ip2asn), rng(seed ^ 0x5eedULL) {}
 
-  // The trace corpus: in-memory, or an mmap'd column store plus the
-  // follow-up tail (docs/SCALE.md). Serial folds below scan it in global
-  // sequence order and drop resident pages behind themselves.
-  corpus::TraceStore traces;
-  std::size_t classified_upto = 0;
-  // Rows released behind the serial folds in windows of this many traces:
-  // large enough that madvise costs vanish, small enough that the resident
-  // window stays a rounding error next to the dense state.
-  static constexpr std::size_t kReleaseWindow = 8192;
+  // The trace corpus (in-memory, or an mmap'd column store plus the
+  // follow-up tail — docs/SCALE.md) with each trace's classification under
+  // `asn_map` (core/trace_cache.h).
+  TraceCache cache;
 
   // ---- dense-handle hot state ----
   // The shared fold (core/fold.h) owns the address interner, interface
@@ -43,8 +39,7 @@ struct ConstrainedFacilitySearch::State {
   // (promoted into `dirty` at iteration end, like the old std::set pair).
   DynamicBitset dirty;
   DynamicBitset pending;
-  std::vector<std::vector<std::uint32_t>> obs_by_iface;    // handle -> slots
-  std::vector<std::vector<std::uint32_t>> traces_by_addr;  // handle -> trace
+  std::vector<std::vector<std::uint32_t>> obs_by_iface;  // handle -> slots
   // Change clock: bumped whenever a candidate set changes; alias sets
   // remember the tick they were last intersected at. Handle-indexed with 0
   // meaning "never changed".
@@ -74,30 +69,13 @@ struct ConstrainedFacilitySearch::State {
   // Vantage points usable for follow-ups (after any platform filter).
   std::vector<const VantagePoint*> usable_vps;
 
-  // ---- incremental engine ----
-  // Per-trace classification results, tagged with the asn-map generation
-  // they were derived under. A refresh re-derives only traces whose cached
-  // generation predates a correction touching one of their hop addresses.
-  struct TraceCache {
-    std::uint64_t generation = 0;
-    std::vector<PeeringObservation> obs;
-  };
-  std::vector<TraceCache> trace_cache;  // parallel to `traces`
-  std::vector<std::uint64_t> alias_set_ticks;
+  std::vector<std::uint64_t> alias_set_ticks;  // incremental engine
 
   CfsMetrics metrics;
 
-  // Interns `addr` and grows every handle-indexed column to cover it.
-  std::uint32_t intern_addr(Ipv4 addr) {
-    const std::uint32_t h = fold.intern(addr);
-    grow_columns();
-    return h;
-  }
-
   // Grows the side columns to every handle and slot the fold has minted.
   void grow_columns() {
-    if (fold.addrs.size() > traces_by_addr.size()) {
-      traces_by_addr.resize(fold.addrs.size());
+    if (fold.addrs.size() > obs_by_iface.size()) {
       obs_by_iface.resize(fold.addrs.size());
       iface_changed.resize(fold.addrs.size(), 0);
     }
@@ -147,81 +125,18 @@ ConstrainedFacilitySearch::ConstrainedFacilitySearch(
       config_(config),
       pool_(pool) {}
 
-std::vector<std::vector<PeeringObservation>>
-ConstrainedFacilitySearch::classify_range(
-    const HopClassifier& classifier, const corpus::TraceStore& traces,
-    const std::vector<std::uint32_t>& indices) const {
-  // Below this the fan-out overhead beats the classification work itself.
-  constexpr std::size_t kParallelThreshold = 32;
-  std::vector<std::vector<PeeringObservation>> out(indices.size());
-  TraceSpan span("cfs.classify");
-  span.arg("traces", indices.size());
-  if (pool_ != nullptr && indices.size() >= kParallelThreshold) {
-    // Chunked so each worker's slice shows up as one timeline span; the
-    // chunk boundaries are a pure function of (n, workers), so the spans
-    // describe the same work at any thread count. Each chunk owns its
-    // scratch and cursor, so spilled reads are race-free by construction,
-    // and chunk row ranges are disjoint (indices ascend), so the trailing
-    // page release only drops rows this chunk is done with.
-    pool_->parallel_for_chunks(
-        indices.size(), [&](std::size_t begin, std::size_t end) {
-          TraceSpan chunk("cfs.classify_chunk");
-          chunk.arg("begin", begin);
-          chunk.arg("count", end - begin);
-          TraceResult scratch;
-          corpus::TraceCorpusReader::Cursor cursor;
-          for (std::size_t i = begin; i < end; ++i)
-            out[i] = classifier.classify(traces.at(indices[i], scratch, &cursor));
-          if (traces.spilled() && end > begin)
-            traces.release_range(indices[begin], indices[end - 1] + 1);
-        });
-  } else {
-    TraceResult scratch;
-    corpus::TraceCorpusReader::Cursor cursor;
-    for (std::size_t i = 0; i < indices.size(); ++i)
-      out[i] = classifier.classify(traces.at(indices[i], scratch, &cursor));
-    if (traces.spilled() && !indices.empty())
-      traces.release_range(indices.front(), indices.back() + 1);
-  }
-  return out;
-}
-
 std::size_t ConstrainedFacilitySearch::ingest_traces(
     State& state, std::vector<TraceResult> fresh, IterationMetrics* im) const {
-  for (auto& trace : fresh) state.traces.append(std::move(trace));
-
+  for (auto& trace : fresh) state.cache.append(std::move(trace));
+  // Classification fans across the pool into index-ordered slots; the fold
+  // below is serial in trace order.
+  const std::size_t first =
+      state.cache.classify_new(HopClassifier(ip2asn_, state.asn_map));
+  const auto& cached = state.cache.observations();
   std::size_t classified = 0;
-  const HopClassifier classifier(ip2asn_, state.asn_map);
-  if (config_.incremental) state.trace_cache.resize(state.traces.size());
-  // Classification is pure per trace; fan it across the pool into
-  // index-ordered slots, then fold serially in trace order below.
-  std::vector<std::uint32_t> fresh_idx;
-  fresh_idx.reserve(state.traces.size() - state.classified_upto);
-  for (std::size_t i = state.classified_upto; i < state.traces.size(); ++i)
-    fresh_idx.push_back(static_cast<std::uint32_t>(i));
-  std::vector<std::vector<PeeringObservation>> classified_obs =
-      classify_range(classifier, state.traces, fresh_idx);
-  TraceResult scratch;
-  corpus::TraceCorpusReader::Cursor cursor;
-  std::size_t released_upto = state.classified_upto;
-  for (std::size_t i = state.classified_upto; i < state.traces.size(); ++i) {
-    std::vector<PeeringObservation> obs_list =
-        std::move(classified_obs[i - state.classified_upto]);
-    classified += obs_list.size();
-
-    if (config_.incremental) {
-      const TraceResult& trace = state.traces.at(i, scratch, &cursor);
-      for (const Hop& hop : trace.hops) {
-        if (!hop.responded) continue;
-        auto& slot = state.traces_by_addr[state.intern_addr(hop.address)];
-        if (slot.empty() || slot.back() != i)
-          slot.push_back(static_cast<std::uint32_t>(i));
-      }
-      state.trace_cache[i].generation = state.asn_map.generation();
-      state.trace_cache[i].obs = obs_list;
-    }
-
-    for (const PeeringObservation& obs : obs_list) {
+  for (std::size_t i = first; i < cached.size(); ++i) {
+    classified += cached[i].size();
+    for (const PeeringObservation& obs : cached[i]) {
       const ConstraintFold::Absorbed r = state.absorb(obs);
       if (!config_.incremental) continue;
       if (r.created) {
@@ -230,87 +145,65 @@ std::size_t ConstrainedFacilitySearch::ingest_traces(
       }
       if (r.created || r.changed) state.dirty.set(r.slot);
     }
-    if (state.traces.spilled() &&
-        i + 1 - released_upto >= State::kReleaseWindow) {
-      state.traces.release_range(released_upto, i + 1);
-      released_upto = i + 1;
-    }
   }
-  if (state.traces.spilled())
-    state.traces.release_range(released_upto, state.traces.size());
-  state.classified_upto = state.traces.size();
-  // Classified tail rows are only ever re-*read* from here on (border
-  // mapping, reclassification), so a spilled run pushes them out of core:
-  // the follow-up tail is the dominant per-trace residency left once the
-  // initial corpus lives on disk.
-  state.traces.spill_tail();
   if (im != nullptr) im->classified_observations += classified;
   return classified;
 }
 
-void ConstrainedFacilitySearch::reclassify_changed(
+void ConstrainedFacilitySearch::reclassify_and_replay(
     State& state, IterationMetrics& im) const {
   // Corrections only ever *add* corrected entries, so the set of changed
   // addresses is exactly what apply_* recorded since the last refresh.
-  const std::vector<Ipv4> changed = state.asn_map.take_changed();
-  std::vector<char> stale(state.traces.size(), 0);
-  for (const Ipv4 addr : changed) {
-    const auto h = state.fold.addrs.find(addr);
-    if (!h) continue;
-    for (const std::uint32_t t : state.traces_by_addr[*h]) stale[t] = 1;
-  }
-
   const HopClassifier classifier(ip2asn_, state.asn_map);
-  std::size_t stale_traces = 0;
+  const std::vector<Ipv4> changed = state.asn_map.take_changed();
+  const std::vector<std::uint32_t> stale =
+      config_.incremental ? state.cache.reclassify(classifier, changed)
+                          : state.cache.reclassify_all(classifier);
+  const auto& cached = state.cache.observations();
   std::size_t fresh_obs = 0;
-  std::size_t replayed = 0;
-  std::vector<std::uint32_t> stale_idx;
-  for (std::size_t i = 0; i < state.traces.size(); ++i) {
-    if (!stale[i])
-      replayed += state.trace_cache[i].obs.size();
-    else
-      stale_idx.push_back(static_cast<std::uint32_t>(i));
-  }
-  std::vector<std::vector<PeeringObservation>> reclassified_obs =
-      classify_range(classifier, state.traces, stale_idx);
-  for (std::size_t j = 0; j < stale_idx.size(); ++j) {
-    const std::uint32_t i = stale_idx[j];
-    ++stale_traces;
-    state.trace_cache[i].obs = std::move(reclassified_obs[j]);
-    state.trace_cache[i].generation = state.asn_map.generation();
-    fresh_obs += state.trace_cache[i].obs.size();
-  }
+  for (const std::uint32_t row : stale) fresh_obs += cached[row].size();
 
   // Rebuild the merged store by replaying the caches in trace order — the
   // exact sequence a full re-ingest would feed absorb — and diff against
   // the previous values to seed the dirty worklist. Slots are stable, so
   // the pre-replay values stay addressable for the comparison.
   ObsStore& store = state.fold.store;
-  const std::vector<PeeringObservation> old_values = store.values_snapshot();
-  const DynamicBitset old_live = store.live_bits();
+  std::vector<PeeringObservation> old_values;
+  DynamicBitset old_live;
+  if (config_.incremental) {
+    old_values = store.values_snapshot();
+    old_live = store.live_bits();
+  }
   store.kill_all();
-  for (const State::TraceCache& cache : state.trace_cache)
-    for (const PeeringObservation& obs : cache.obs)
-      state.absorb(obs);
+  std::size_t replayed = 0;
+  for (const std::vector<PeeringObservation>& list : cached) {
+    replayed += list.size();
+    for (const PeeringObservation& obs : list) state.absorb(obs);
+  }
+  replayed -= fresh_obs;
 
-  for (std::uint32_t slot = 0; slot < static_cast<std::uint32_t>(store.slots());
-       ++slot) {
-    if (!store.live(slot)) continue;
-    const bool existed = slot < old_values.size() && old_live.test(slot);
-    if (!existed) {
-      const PeeringObservation& obs = store.value(slot);
-      state.obs_by_iface[*state.fold.addrs.find(obs.near_addr)].push_back(slot);
-      state.obs_by_iface[*state.fold.addrs.find(obs.far_addr)].push_back(slot);
-      state.dirty.set(slot);
-    } else if (!(old_values[slot] == store.value(slot))) {
-      state.dirty.set(slot);
+  if (config_.incremental) {
+    for (std::uint32_t slot = 0;
+         slot < static_cast<std::uint32_t>(store.slots()); ++slot) {
+      if (!store.live(slot)) continue;
+      const bool existed = slot < old_values.size() && old_live.test(slot);
+      if (!existed) {
+        const PeeringObservation& obs = store.value(slot);
+        state.obs_by_iface[*state.fold.addrs.find(obs.near_addr)].push_back(
+            slot);
+        state.obs_by_iface[*state.fold.addrs.find(obs.far_addr)].push_back(
+            slot);
+        state.dirty.set(slot);
+      } else if (!(old_values[slot] == store.value(slot))) {
+        state.dirty.set(slot);
+      }
     }
   }
 
-  im.reclassified_traces += stale_traces;
+  im.reclassified_traces += stale.size();
   im.classified_observations += fresh_obs;
   im.replayed_observations += replayed;
-  state.metrics.reclassified_traces += stale_traces;
+  state.metrics.reclassified_traces += stale.size();
   state.metrics.reclassified_observations += fresh_obs;
   state.metrics.replayed_observations += replayed;
 }
@@ -336,35 +229,15 @@ void ConstrainedFacilitySearch::refresh_aliases(State& state,
   if (config_.use_border_mapping) {
     // Repair foreign-numbered /30 ownership from the corpus itself
     // (MAP-IT-style); catches the routers alias resolution cannot probe.
-    if (config_.incremental) {
-      TraceResult scratch;
-      corpus::TraceCorpusReader::Cursor cursor;
-      std::size_t released_upto = state.border_upto;
-      for (std::size_t i = state.border_upto; i < state.traces.size(); ++i) {
-        state.border.ingest(state.traces.at(i, scratch, &cursor));
-        if (state.traces.spilled() &&
-            i + 1 - released_upto >= State::kReleaseWindow) {
-          state.traces.release_range(released_upto, i + 1);
-          released_upto = i + 1;
-        }
-      }
-      if (state.traces.spilled())
-        state.traces.release_range(released_upto, state.traces.size());
-      state.border_upto = state.traces.size();
-      state.asn_map.apply_border_corrections(state.border.corrections());
-    } else {
-      BorderMapper mapper(ip2asn_);
-      TraceResult scratch;
-      corpus::TraceCorpusReader::Cursor cursor;
-      for (std::size_t i = 0; i < state.traces.size(); ++i) {
-        mapper.ingest(state.traces.at(i, scratch, &cursor));
-        if (state.traces.spilled() && (i + 1) % State::kReleaseWindow == 0)
-          state.traces.release_range(i + 1 - State::kReleaseWindow, i + 1);
-      }
-      if (state.traces.spilled())
-        state.traces.release_range(0, state.traces.size());
-      state.asn_map.apply_border_corrections(mapper.corrections());
-    }
+    // The incremental engine feeds its one mapper only the new traces.
+    BorderMapper rebuilt(ip2asn_);
+    BorderMapper& mapper = config_.incremental ? state.border : rebuilt;
+    state.cache.scan(config_.incremental ? state.border_upto : 0,
+                     [&mapper](std::size_t, const TraceResult& trace) {
+                       mapper.ingest(trace);
+                     });
+    state.border_upto = state.cache.size();
+    state.asn_map.apply_border_corrections(mapper.corrections());
   }
   // New alias sets: every set must be re-intersected from scratch.
   state.alias_set_ticks.assign(state.aliases.sets.size(), 0);
@@ -374,17 +247,7 @@ void ConstrainedFacilitySearch::refresh_aliases(State& state,
   // Corrected mappings can turn previously discarded crossings into
   // classifiable ones: re-derive observations against the new map.
   TraceSpan reclass_timer("cfs.reclassify");
-  if (config_.incremental) {
-    reclassify_changed(state, im);
-  } else {
-    state.fold.store.kill_all();
-    state.classified_upto = 0;
-    const std::size_t reclassified = ingest_traces(state, {}, nullptr);
-    im.reclassified_traces += state.traces.size();
-    im.classified_observations += reclassified;
-    state.metrics.reclassified_traces += state.traces.size();
-    state.metrics.reclassified_observations += reclassified;
-  }
+  reclassify_and_replay(state, im);
   im.reclassify_ms += reclass_timer.stop();
 }
 
@@ -665,10 +528,9 @@ CfsReport ConstrainedFacilitySearch::run(std::vector<TraceResult> traces) {
 CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
   TraceSpan run_timer("cfs.run");
   run_timer.arg("initial_traces", traces.size());
-  State state(ip2asn_, topo_, config_.seed);
+  State state(ip2asn_, topo_, config_.seed, std::move(traces), pool_);
   state.metrics.incremental = config_.incremental;
-  state.metrics.threads =
-      config_.threads > 0 ? static_cast<std::size_t>(config_.threads) : 1;
+  state.metrics.threads = pool_ != nullptr ? pool_->workers() : 1;
 
   // Public-database index: facility -> ASes present (for follow-ups).
   for (const auto& as : topo_.ases())
@@ -683,10 +545,9 @@ CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
 
   {
     TraceSpan initial_timer("cfs.initial_ingest");
-    state.metrics.initial_traces = traces.size();
-    initial_timer.arg("traces", traces.size());
-    initial_timer.arg("spilled", traces.spilled());
-    state.traces = std::move(traces);
+    state.metrics.initial_traces = state.cache.size();
+    initial_timer.arg("traces", state.cache.size());
+    initial_timer.arg("spilled", state.cache.rows().spilled());
     state.metrics.initial_observations = ingest_traces(state, {}, nullptr);
     initial_timer.arg("observations", state.metrics.initial_observations);
     state.metrics.initial_classify_ms = initial_timer.stop();
@@ -756,7 +617,7 @@ CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
   link_span.stop();
   report.aliases = std::move(state.aliases);
   report.resolved_per_iteration = std::move(state.history);
-  report.traces_used = state.traces.size();
+  report.traces_used = state.cache.size();
   report.iterations_run = std::min(iteration, config_.max_iterations);
 
   // Snapshot the measurement plane's attrition accounting (the campaign
@@ -774,7 +635,7 @@ CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
   Trace::gauge("cfs.arena_reserved_bytes",
                static_cast<double>(Arena::process_reserved_bytes()));
   Trace::gauge("cfs.tail_spilled_bytes",
-               static_cast<double>(state.traces.spilled_tail_bytes()));
+               static_cast<double>(state.cache.rows().spilled_tail_bytes()));
   Trace::gauge("process.peak_rss_bytes",
                static_cast<double>(Trace::peak_rss_bytes()));
   run_timer.arg("resolved", report.resolved_interfaces());

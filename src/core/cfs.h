@@ -16,15 +16,16 @@
 // remote private) and applies the switch-proximity heuristic to far ends
 // that the reverse search could not pin down.
 //
-// The default engine is incremental: per-trace classification results are
-// cached against the InterfaceAsnMap generation so an alias refresh only
-// re-derives traces that traverse a corrected address, and constraint
-// passes walk a dirty set of observations whose endpoint candidate sets
-// changed instead of the whole store. Because IfaceTable::constrain only
-// ever intersects, re-applying an observation whose inputs did not change
-// is a no-op — both engines produce identical reports
-// (tests/core/incremental_test.cpp asserts it). Per-stage accounting lands
-// in CfsReport::metrics.
+// The default engine is incremental. Step 1 runs through the per-trace
+// observation cache shared with the stream engine (core/trace_cache.h): an
+// alias refresh re-classifies only traces that traverse an address whose
+// mapping the refresh corrected, and replays every other trace from cache.
+// Constraint passes walk a dirty set of observations whose endpoint
+// candidate sets changed instead of the whole store. Because
+// IfaceTable::constrain only ever intersects, re-applying an observation
+// whose inputs did not change is a no-op — both engines produce identical
+// reports (tests/core/incremental_test.cpp asserts it). Per-stage
+// accounting lands in CfsReport::metrics.
 //
 // Steps 2-3 and the final report run in the fold shared with the stream
 // engine (core/fold.h): addresses interned into dense u32 handles, a flat
@@ -82,17 +83,14 @@ struct CfsConfig {
   // Restrict follow-up probing to one platform (Figure 7's per-platform
   // convergence curves); initial traces are restricted by the caller.
   std::optional<Platform> platform_filter;
-  // Worker threads the run is configured with, recorded on CfsMetrics.
-  // Classification only actually fans out when a pool is supplied; results
-  // are byte-identical either way.
-  int threads = 1;
   std::uint64_t seed = 99;
 };
 
 class ConstrainedFacilitySearch {
  public:
-  // `pool` (optional) fans per-trace classification across workers; the
-  // constraint loop itself stays serial so convergence order is unchanged.
+  // `pool` (optional) fans per-trace classification and Step-2 plan
+  // speculation across workers; the constraint loop itself stays serial so
+  // convergence order is unchanged. CfsMetrics::threads records its size.
   ConstrainedFacilitySearch(const Topology& topo, const FacilityDatabase& db,
                             const IpToAsnService& ip2asn,
                             MeasurementCampaign& campaign,
@@ -113,16 +111,16 @@ class ConstrainedFacilitySearch {
  private:
   struct State;
 
-  // Classifies traces appended past classified_upto into the observation
-  // store (and, incrementally, the per-trace cache + address index).
-  // Returns how many observations the classifier produced.
+  // Classifies the traces appended to the cache (plus `fresh`) and folds
+  // them into the observation store. Returns how many observations the
+  // classifier produced.
   std::size_t ingest_traces(State& state, std::vector<TraceResult> fresh,
                             IterationMetrics* im) const;
   void refresh_aliases(State& state, IterationMetrics& im) const;
-  // Incremental refresh tail: re-classify traces hit by asn-map corrections,
-  // replay everything else from cache, diff the rebuilt store into the
-  // dirty worklist.
-  void reclassify_changed(State& state, IterationMetrics& im) const;
+  // Refresh tail: re-classify the traces hit by asn-map corrections (every
+  // trace in the full engine), rebuild the store by replaying the cache in
+  // trace order and, incrementally, diff it into the dirty worklist.
+  void reclassify_and_replay(State& state, IterationMetrics& im) const;
   // Records that the interface row's candidate set changed and queues its
   // observations for re-processing. `current` is the facility-pass cursor
   // key: keys after it re-enter the in-flight pass (matching the full
@@ -141,16 +139,6 @@ class ConstrainedFacilitySearch {
   // classify timer).
   [[nodiscard]] std::vector<TraceResult> launch_followups(
       State& state, int iteration, IterationMetrics& im) const;
-
-  // Runs `classify` over the given rows of the trace store, fanning
-  // across the pool when one is attached and the range is large enough
-  // to pay for it. Results land in per-index slots (returned in trace
-  // order), so the caller's serial fold is order-identical to a serial
-  // classify loop. Spilled rows are materialized into per-chunk scratch
-  // and their pages dropped once the chunk is classified.
-  [[nodiscard]] std::vector<std::vector<PeeringObservation>> classify_range(
-      const HopClassifier& classifier, const corpus::TraceStore& traces,
-      const std::vector<std::uint32_t>& indices) const;
 
   const Topology& topo_;
   const FacilityDatabase& db_;

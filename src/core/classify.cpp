@@ -37,7 +37,7 @@ void InterfaceAsnMap::apply_alias_correction(const AliasSets& aliases) {
     for (const Ipv4 addr : set) {
       const auto raw = ip2asn_.lookup(addr);
       if ((!raw || *raw != winner) && corrected_.emplace(addr, winner).second)
-        record_change(addr);
+        changed_.push_back(addr);
     }
   }
 }
@@ -45,12 +45,7 @@ void InterfaceAsnMap::apply_alias_correction(const AliasSets& aliases) {
 void InterfaceAsnMap::apply_border_corrections(
     const std::unordered_map<Ipv4, Asn>& corrections) {
   for (const auto& [addr, asn] : corrections)
-    if (corrected_.try_emplace(addr, asn).second) record_change(addr);
-}
-
-void InterfaceAsnMap::record_change(Ipv4 addr) {
-  ++generation_;
-  changed_.push_back(addr);
+    if (corrected_.try_emplace(addr, asn).second) changed_.push_back(addr);
 }
 
 std::vector<Ipv4> InterfaceAsnMap::take_changed() {

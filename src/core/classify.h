@@ -41,12 +41,9 @@ class InterfaceAsnMap {
 
   [[nodiscard]] std::size_t corrections() const { return corrected_.size(); }
 
-  // Bumped every time a correction changes an address's effective mapping.
-  // A trace classification cached at generation g is still valid when none
-  // of the trace's hop addresses appear in the changes since g.
-  [[nodiscard]] std::uint64_t generation() const { return generation_; }
-
   // Addresses whose mapping changed since the last call; clears the log.
+  // A cached trace classification is still valid when none of the trace's
+  // responded hop addresses appear in it (core/trace_cache.h).
   [[nodiscard]] std::vector<Ipv4> take_changed();
 
   // The full correction table (address -> corrected owner). The stream
@@ -56,11 +53,8 @@ class InterfaceAsnMap {
   }
 
  private:
-  void record_change(Ipv4 addr);
-
   const IpToAsnService& ip2asn_;
   std::unordered_map<Ipv4, Asn> corrected_;
-  std::uint64_t generation_ = 0;
   std::vector<Ipv4> changed_;
 };
 

@@ -4,17 +4,19 @@
 // candidate sets across alias sets) and the final report (materialise
 // rows, type links, switch-proximity fallback) — paper Section 4.
 //
-// The batch engine (core/cfs.cpp) layers its dirty/pending worklists,
-// parallel plan speculation and follow-up probing on the per-observation
-// and per-alias-set primitives; its full engine (`incremental = false`)
-// runs the full passes. The stream engine (stream/engine.cpp) builds one
-// fresh fold per epoch, absorbs the epoch's observations in trace order,
-// runs one Step-2 pass and one alias pass, and builds the report.
+// Both engines feed it from the per-trace Step-1 cache (core/trace_cache.h),
+// replayed in trace order. The batch engine (core/cfs.cpp) layers its
+// dirty/pending worklists, parallel plan speculation and follow-up probing
+// on the per-observation and per-alias-set primitives; its full engine
+// (`incremental = false`) runs the full passes. The stream engine
+// (stream/engine.cpp) builds one fresh fold per epoch, absorbs the cached
+// observations, runs one Step-2 pass and one alias pass, and builds the
+// report.
 //
-// Layout (docs/ALGORITHM.md "Memory layout"): every address is interned
-// into a dense u32 handle; interface rows live in an SoA table with
-// arena-backed candidate spans (core/iface_table.h), observations in a
-// slot-stable, key-ordered store (core/obs_store.h). Full passes walk the
+// Layout (docs/ALGORITHM.md "Memory layout"): every observation endpoint
+// is interned into a dense u32 handle; interface rows live in an SoA table
+// with arena-backed candidate spans (core/iface_table.h), observations in
+// a slot-stable, key-ordered store (core/obs_store.h). Full passes walk the
 // store in ascending (near, far) key order and the alias sets in set
 // order, so results do not depend on how observations arrived.
 #pragma once
@@ -39,9 +41,6 @@ class ConstraintFold {
   Interner<Ipv4> addrs;  // row handles of `ifaces` are these handles
   IfaceTable ifaces;     // present(h) == "is a peering interface"
   ObsStore store;
-
-  // Interns `addr` and grows the interface table to cover its handle.
-  std::uint32_t intern(Ipv4 addr);
 
   struct Absorbed {
     bool created = false;  // the slot was minted or revived
@@ -126,6 +125,9 @@ class ConstraintFold {
       const FacilityDatabase& db, const RemotePeeringDetector& detector);
 
  private:
+  // Interns `addr` and grows the interface table to cover its handle.
+  std::uint32_t intern(Ipv4 addr);
+
   std::vector<FacilityId> common_;  // alias-intersection scratch
 };
 

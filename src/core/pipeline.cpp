@@ -216,10 +216,8 @@ CfsReport Pipeline::run_cfs(std::vector<TraceResult> traces) {
 }
 
 CfsReport Pipeline::run_cfs(corpus::TraceStore traces) {
-  CfsConfig cfs_config = config_.cfs;
-  cfs_config.threads = threads_;
   ConstrainedFacilitySearch cfs(topo_, *facility_db_, *ip2asn_, *campaign_,
-                                *vps_, cfs_config, pool_.get());
+                                *vps_, config_.cfs, pool_.get());
   CfsReport report = cfs.run(std::move(traces));
   // CFS only sees the facility database; fold in what the other degraded
   // sources withheld so the report accounts for the full fault plan.

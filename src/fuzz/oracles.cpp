@@ -577,82 +577,6 @@ JsonValue equivalence_json(const CfsReport& report) {
   return json;
 }
 
-JsonValue counters_json(const CfsMetrics& m) {
-  // Every deterministic counter the parallel-equivalence suite compares,
-  // and none of the timings. `threads` is deliberately absent: it is the
-  // one field that legitimately differs between equivalent arms.
-  JsonValue::Object o;
-  o.emplace("incremental", m.incremental);
-  o.emplace("initial_traces", static_cast<std::uint64_t>(m.initial_traces));
-  o.emplace("initial_observations",
-            static_cast<std::uint64_t>(m.initial_observations));
-  o.emplace("alias_refreshes", static_cast<std::uint64_t>(m.alias_refreshes));
-  o.emplace("reclassified_traces",
-            static_cast<std::uint64_t>(m.reclassified_traces));
-  o.emplace("reclassified_observations",
-            static_cast<std::uint64_t>(m.reclassified_observations));
-  o.emplace("replayed_observations",
-            static_cast<std::uint64_t>(m.replayed_observations));
-
-  JsonValue::Object faults;
-  faults.emplace("traces_attempted",
-                 static_cast<std::uint64_t>(m.faults.traces_attempted));
-  faults.emplace("traces_kept",
-                 static_cast<std::uint64_t>(m.faults.traces_kept));
-  faults.emplace("traces_unreachable",
-                 static_cast<std::uint64_t>(m.faults.traces_unreachable));
-  faults.emplace("retries", static_cast<std::uint64_t>(m.faults.retries));
-  faults.emplace("failovers", static_cast<std::uint64_t>(m.faults.failovers));
-  faults.emplace("circuits_opened",
-                 static_cast<std::uint64_t>(m.faults.circuits_opened));
-  faults.emplace("probes_abandoned",
-                 static_cast<std::uint64_t>(m.faults.probes_abandoned));
-  faults.emplace(
-      "probes_skipped_open_circuit",
-      static_cast<std::uint64_t>(m.faults.probes_skipped_open_circuit));
-  faults.emplace("probe_timeouts",
-                 static_cast<std::uint64_t>(m.faults.probe_timeouts));
-  faults.emplace("lg_bans", static_cast<std::uint64_t>(m.faults.lg_bans));
-  faults.emplace("records_withheld",
-                 static_cast<std::uint64_t>(m.faults.records_withheld));
-  o.emplace("faults", std::move(faults));
-
-  JsonValue::Array iterations;
-  for (const IterationMetrics& r : m.iterations) {
-    JsonValue::Object row;
-    row.emplace("iteration", static_cast<std::uint64_t>(r.iteration));
-    row.emplace("alias_refreshed", r.alias_refreshed);
-    row.emplace("observations", static_cast<std::uint64_t>(r.observations));
-    row.emplace("interfaces", static_cast<std::uint64_t>(r.interfaces));
-    row.emplace("resolved", static_cast<std::uint64_t>(r.resolved));
-    row.emplace("classified_observations",
-                static_cast<std::uint64_t>(r.classified_observations));
-    row.emplace("reclassified_traces",
-                static_cast<std::uint64_t>(r.reclassified_traces));
-    row.emplace("replayed_observations",
-                static_cast<std::uint64_t>(r.replayed_observations));
-    row.emplace("dirty_observations",
-                static_cast<std::uint64_t>(r.dirty_observations));
-    row.emplace("constrained_observations",
-                static_cast<std::uint64_t>(r.constrained_observations));
-    row.emplace("alias_sets_processed",
-                static_cast<std::uint64_t>(r.alias_sets_processed));
-    row.emplace("followup_pool",
-                static_cast<std::uint64_t>(r.followup_pool));
-    row.emplace("followup_budget",
-                static_cast<std::uint64_t>(r.followup_budget));
-    row.emplace("followups_launched",
-                static_cast<std::uint64_t>(r.followups_launched));
-    row.emplace("followups_skipped",
-                static_cast<std::uint64_t>(r.followups_skipped));
-    row.emplace("followup_traces",
-                static_cast<std::uint64_t>(r.followup_traces));
-    iterations.emplace_back(std::move(row));
-  }
-  o.emplace("iterations", std::move(iterations));
-  return JsonValue(std::move(o));
-}
-
 const std::vector<Oracle>& all_oracles() {
   static const std::vector<Oracle> oracles = {
       {"parallel",

@@ -59,8 +59,4 @@ struct Oracle {
 // content differs legitimately between equivalent runs).
 [[nodiscard]] JsonValue equivalence_json(const CfsReport& report);
 
-// Deterministic CfsMetrics counters (never timings) as JSON, for
-// cross-engine comparison with path-addressed messages.
-[[nodiscard]] JsonValue counters_json(const CfsMetrics& metrics);
-
 }  // namespace cfs

@@ -745,6 +745,30 @@ CfsReport report_from_json(const JsonValue& doc) {
   return report;
 }
 
+JsonValue counters_json(const CfsMetrics& metrics) {
+  // Drops every `*_ms` key at any depth (faults.wall_ms included).
+  const auto strip_timings = [](auto& self, JsonValue& v) -> void {
+    if (v.is_array()) {
+      for (JsonValue& item : v.as_array()) self(self, item);
+    } else if (v.is_object()) {
+      JsonValue::Object& o = v.as_object();
+      for (auto it = o.begin(); it != o.end();) {
+        if (it->first.ends_with("_ms")) {
+          it = o.erase(it);
+        } else {
+          self(self, it->second);
+          ++it;
+        }
+      }
+    }
+  };
+  JsonValue json = metrics_json(metrics);
+  json.as_object().erase("threads");
+  json.as_object().erase("registry");
+  strip_timings(strip_timings, json);
+  return json;
+}
+
 void write_topology(std::ostream& os, const Topology& topo) {
   TraceSpan span("export.topology");
   span.arg("routers", topo.routers().size());

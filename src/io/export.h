@@ -25,6 +25,11 @@ namespace cfs {
 // --- inference results ---
 [[nodiscard]] JsonValue report_to_json(const CfsReport& report);
 [[nodiscard]] CfsReport report_from_json(const JsonValue& doc);
+// The exported `metrics` subtree minus everything that legitimately differs
+// between equivalent runs: `threads`, `registry` and every `*_ms` timing.
+// What remains is every deterministic counter, for cross-engine and
+// cross-thread-count comparison.
+[[nodiscard]] JsonValue counters_json(const CfsMetrics& metrics);
 
 // Stream helpers (pretty JSON).
 void write_topology(std::ostream& os, const Topology& topo);

@@ -8,9 +8,9 @@
 // only order-free or prefix-pure state across epochs and re-deriving the
 // rest per epoch from canonical inputs:
 //
-//   * raw-map classification results are cached per trace (the raw map
-//     never changes, so the cache never invalidates) and only feed the
-//     alias-resolution target set — a std::set, order-free;
+//   * each trace is classified under the raw map once, on arrival (the
+//     raw map never changes), and only feeds the alias-resolution target
+//     set — a std::set, order-free;
 //   * alias resolution is memoized on the target-set size and re-run with
 //     a FRESH resolver, making the sets a pure function of the sorted
 //     targets;
@@ -20,12 +20,14 @@
 //     border corrections) — never accumulated across epochs, where
 //     first-writer-wins correction tables would make results depend on
 //     the epoch partition;
-//   * per-trace classifications under the corrected map are cached and
-//     invalidated by diffing consecutive epochs' correction tables;
+//   * per-trace classifications under the corrected map live in the
+//     per-trace observation cache shared with the batch engine
+//     (core/trace_cache.h); the addresses whose correction differs between
+//     consecutive epochs' tables select the rows it re-classifies;
 //   * observation merging, Step 2, alias propagation and link typing run
 //     from scratch per epoch in one fresh ConstraintFold (core/fold.h), the
-//     batch engine's own kernel, whose passes walk observations in
-//     canonical (near, far) key order.
+//     batch engine's own kernel, fed by replaying the cache in trace order;
+//     its passes walk observations in canonical (near, far) key order.
 //
 // The expensive stages — classification, alias probing — are incremental;
 // the per-epoch fold is linear in accumulated state. Classification fans
@@ -45,6 +47,7 @@
 #include "core/classify.h"
 #include "core/remote.h"
 #include "core/report.h"
+#include "core/trace_cache.h"
 #include "data/facility_db.h"
 #include "stream/events.h"
 #include "util/thread_pool.h"
@@ -92,29 +95,20 @@ class StreamEngine {
   [[nodiscard]] StreamSnapshot fold_epoch(std::span<const StreamEvent> events);
 
   [[nodiscard]] std::uint64_t epochs_folded() const { return epoch_; }
-  [[nodiscard]] std::size_t traces_ingested() const { return traces_.size(); }
+  [[nodiscard]] std::size_t traces_ingested() const { return cache_.size(); }
   [[nodiscard]] const FacilityDatabase& facility_db() const { return db_; }
 
  private:
-  // Classifies traces_[indices] into per-index slots of `out` (parallel
-  // when a pool is attached; slot-indexed, so fold order never changes).
-  void classify_into(const HopClassifier& classifier,
-                     const std::vector<std::uint32_t>& indices,
-                     std::vector<std::vector<PeeringObservation>>& out) const;
-
   const Topology& topo_;
   const IpToAsnService& ip2asn_;
   FacilityDatabase db_;  // owned: PdbDelta events mutate it
   StreamEngineConfig config_;
-  ThreadPool* pool_ = nullptr;
 
   // Raw (correction-free) classification basis; valid forever.
   InterfaceAsnMap raw_map_;
 
-  std::vector<TraceResult> traces_;
-  std::vector<std::vector<PeeringObservation>> raw_obs_;     // under raw_map_
-  std::vector<std::vector<PeeringObservation>> cooked_obs_;  // under epoch map
-  std::size_t cooked_upto_ = 0;  // traces with a valid cooked_obs_ entry
+  // Every ingested trace, classified under the latest epoch map.
+  TraceCache cache_;
 
   // Alias-resolution targets: endpoints of raw observations (order-free).
   std::set<Ipv4> present0_;
@@ -127,8 +121,6 @@ class StreamEngine {
   // Correction table of the previous epoch's rebuilt map; diffed against
   // the fresh table to find traces whose classification went stale.
   std::unordered_map<Ipv4, Asn> prev_corrections_;
-  // Responsive hop address -> indices of traces containing it.
-  std::unordered_map<Ipv4, std::vector<std::uint32_t>> traces_by_addr_;
 
   std::uint64_t epoch_ = 0;
   std::uint64_t last_ts_ns_ = 0;

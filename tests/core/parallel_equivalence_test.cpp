@@ -43,40 +43,7 @@ RunResult run_at(PipelineConfig config, int threads) {
 
 // Every counter (never a timing) must match between engines.
 void expect_counters_identical(const CfsMetrics& a, const CfsMetrics& b) {
-  EXPECT_EQ(a.incremental, b.incremental);
-  EXPECT_EQ(a.initial_traces, b.initial_traces);
-  EXPECT_EQ(a.initial_observations, b.initial_observations);
-  EXPECT_EQ(a.alias_refreshes, b.alias_refreshes);
-  EXPECT_EQ(a.reclassified_traces, b.reclassified_traces);
-  EXPECT_EQ(a.reclassified_observations, b.reclassified_observations);
-  EXPECT_EQ(a.replayed_observations, b.replayed_observations);
-  EXPECT_EQ(a.faults, b.faults);  // equality ignores wall_ms by design
-  ASSERT_EQ(a.iterations.size(), b.iterations.size());
-  for (std::size_t i = 0; i < a.iterations.size(); ++i) {
-    const IterationMetrics& x = a.iterations[i];
-    const IterationMetrics& y = b.iterations[i];
-    EXPECT_EQ(x.iteration, y.iteration) << "iteration " << i;
-    EXPECT_EQ(x.alias_refreshed, y.alias_refreshed) << "iteration " << i;
-    EXPECT_EQ(x.observations, y.observations) << "iteration " << i;
-    EXPECT_EQ(x.interfaces, y.interfaces) << "iteration " << i;
-    EXPECT_EQ(x.resolved, y.resolved) << "iteration " << i;
-    EXPECT_EQ(x.classified_observations, y.classified_observations)
-        << "iteration " << i;
-    EXPECT_EQ(x.reclassified_traces, y.reclassified_traces)
-        << "iteration " << i;
-    EXPECT_EQ(x.replayed_observations, y.replayed_observations)
-        << "iteration " << i;
-    EXPECT_EQ(x.dirty_observations, y.dirty_observations) << "iteration " << i;
-    EXPECT_EQ(x.constrained_observations, y.constrained_observations)
-        << "iteration " << i;
-    EXPECT_EQ(x.alias_sets_processed, y.alias_sets_processed)
-        << "iteration " << i;
-    EXPECT_EQ(x.followup_pool, y.followup_pool) << "iteration " << i;
-    EXPECT_EQ(x.followup_budget, y.followup_budget) << "iteration " << i;
-    EXPECT_EQ(x.followups_launched, y.followups_launched) << "iteration " << i;
-    EXPECT_EQ(x.followups_skipped, y.followups_skipped) << "iteration " << i;
-    EXPECT_EQ(x.followup_traces, y.followup_traces) << "iteration " << i;
-  }
+  EXPECT_EQ(counters_json(a).pretty(), counters_json(b).pretty());
 }
 
 PipelineConfig base_config(std::uint64_t seed) {
