@@ -71,9 +71,10 @@ void BM_TracerouteSynthesis(benchmark::State& state) {
     const auto& as = ases[rng.index(ases.size())];
     targets.push_back(as.prefixes.front().at(1000 + i));
   }
-  std::size_t i = 0;
+  std::uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.trace(vp, targets[i++ & 255]));
+    benchmark::DoNotOptimize(engine.trace_seeded(vp, targets[i & 255], i));
+    ++i;
   }
 }
 BENCHMARK(BM_TracerouteSynthesis);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "data/corpus/corpus.h"
+#include "traceroute/shard.h"
 #include "util/log.h"
 
 namespace cfs {
@@ -197,11 +198,14 @@ corpus::TraceStore Pipeline::initial_campaign_store(
   span.arg("shards", static_cast<std::size_t>(plan.shards()));
 
   corpus::TraceCorpusWriter writer(config_.spill.dir, plan.shards());
-  const std::size_t kept = campaign_->run_sharded(
-      probes, targets, plan,
-      [&writer](std::uint32_t shard, MetroId metro, TraceResult&& trace) {
-        writer.append(shard, metro, std::move(trace));
-      });
+  std::size_t kept = 0;
+  campaign_->run(probes, targets,
+                 [&](const VantagePoint& vp, TraceResult&& trace) {
+                   const MetroId metro =
+                       topo_.metro_of(topo_.router(vp.attach).facility);
+                   writer.append(plan.shard_of(metro), metro, std::move(trace));
+                   ++kept;
+                 });
   writer.finish();
   span.arg("traces", kept);
   return corpus::TraceStore(corpus::TraceCorpusReader::open(config_.spill.dir));

@@ -48,7 +48,7 @@ struct PipelineConfig {
   struct SpillConfig {
     bool enabled = false;
     std::string dir;           // corpus directory (required when enabled)
-    std::uint32_t shards = 1;  // metro shards (also campaign ownership)
+    std::uint32_t shards = 1;  // metro shards of the corpus
   };
   SpillConfig spill;
 
@@ -70,8 +70,9 @@ class Pipeline {
       const std::vector<Asn>& target_ases, double vp_fraction = 0.5);
 
   // Spill-aware initial campaign: same VP sampling and serial pass, but
-  // honouring config.spill — with spill enabled the corpus is written
-  // shard-by-shard to disk and comes back as an mmap-backed TraceStore;
+  // honouring config.spill — with spill enabled each kept trace is written
+  // to the shard owning its executing VP's metro as the pass keeps it, and
+  // the corpus comes back as an mmap-backed TraceStore;
   // without it this is exactly initial_campaign wrapped in a store.
   [[nodiscard]] corpus::TraceStore initial_campaign_store(
       const std::vector<Asn>& target_ases, double vp_fraction = 0.5);

@@ -57,9 +57,7 @@ std::size_t TraceCache::classify_new(const HopClassifier& classifier) {
   scan(first, [this](std::size_t i, const TraceResult& trace) {
     for (const Hop& hop : trace.hops) {
       if (!hop.responded) continue;
-      const std::uint32_t h = addrs_.intern(hop.address);
-      if (h >= rows_by_addr_.size()) rows_by_addr_.resize(h + 1);
-      std::vector<std::uint32_t>& rows = rows_by_addr_[h];
+      std::vector<std::uint32_t>& rows = rows_by_addr_[hop.address];
       if (rows.empty() || rows.back() != i)
         rows.push_back(static_cast<std::uint32_t>(i));
     }
@@ -72,8 +70,8 @@ std::vector<std::uint32_t> TraceCache::reclassify(
     const HopClassifier& classifier, const std::vector<Ipv4>& changed) {
   std::vector<char> stale(cached(), 0);
   for (const Ipv4 addr : changed)
-    if (const auto h = addrs_.find(addr))
-      for (const std::uint32_t row : rows_by_addr_[*h]) stale[row] = 1;
+    if (const auto it = rows_by_addr_.find(addr); it != rows_by_addr_.end())
+      for (const std::uint32_t row : it->second) stale[row] = 1;
   std::vector<std::uint32_t> rows;
   for (std::size_t i = 0; i < stale.size(); ++i)
     if (stale[i]) rows.push_back(static_cast<std::uint32_t>(i));

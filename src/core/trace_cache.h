@@ -22,11 +22,11 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/classify.h"
 #include "data/corpus/trace_store.h"
-#include "util/intern.h"
 #include "util/thread_pool.h"
 
 namespace cfs {
@@ -97,8 +97,8 @@ class TraceCache {
   corpus::TraceStore rows_;
   ThreadPool* pool_ = nullptr;
   std::vector<std::vector<PeeringObservation>> obs_;
-  Interner<Ipv4> addrs_;
-  std::vector<std::vector<std::uint32_t>> rows_by_addr_;  // handle -> rows
+  // Responded hop address -> rows crossing it, ascending.
+  std::unordered_map<Ipv4, std::vector<std::uint32_t>> rows_by_addr_;
 };
 
 }  // namespace cfs

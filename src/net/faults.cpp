@@ -30,7 +30,7 @@ bool FaultPlan::any() const {
 }
 
 FaultPlane::FaultPlane(const FaultPlan& plan, std::uint64_t seed)
-    : plan_(plan), seed_(mix64(seed ^ plan.seed)), timeout_rng_(seed_ ^ 0x7107) {}
+    : plan_(plan), seed_(mix64(seed ^ plan.seed)) {}
 
 std::uint64_t FaultPlane::mix(std::uint64_t id, std::uint64_t salt) const {
   return mix64(seed_ ^ mix64(id ^ (salt << 32)));
@@ -81,11 +81,6 @@ double FaultPlane::vp_death_s(VantagePointId vp) const {
   if (plan_.vp_churn_fraction <= 0.0) return -1.0;
   if (frac(vp.value, 3) >= plan_.vp_churn_fraction) return -1.0;
   return frac(vp.value, 4) * plan_.vp_churn_horizon_s;
-}
-
-bool FaultPlane::probe_times_out() {
-  if (plan_.probe_timeout_rate <= 0.0) return false;
-  return timeout_rng_.chance(plan_.probe_timeout_rate);
 }
 
 bool FaultPlane::probe_times_out(Rng& rng) const {

@@ -11,11 +11,13 @@
 // byte-for-byte.
 //
 // Per-entity decisions (which LG has an outage, when a VP dies) are pure
-// hashes of (seed, entity id), independent of query order; only rate-limit
-// ban bookkeeping and probe-timeout draws carry state, and both advance in
-// the deterministic order the campaign executes. A zero-intensity plan is
-// the identity: every query path is guarded so no RNG draw is consumed and
-// no behaviour changes (Pipeline does not even construct a FaultPlane).
+// hashes of (seed, entity id), independent of query order; probe-timeout
+// draws come from a per-trace stream minted from (seed, trace stream id).
+// Only rate-limit ban bookkeeping carries state, and it advances in the
+// deterministic order the campaign's serial pass executes. A
+// zero-intensity plan is the identity: every query path is guarded so no
+// RNG draw is consumed and no behaviour changes (Pipeline does not even
+// construct a FaultPlane).
 #pragma once
 
 #include <cstddef>
@@ -137,18 +139,14 @@ class FaultPlane {
   // Scheduled death instant, or a negative value when the VP never churns.
   [[nodiscard]] double vp_death_s(VantagePointId vp) const;
 
-  // Per-probe timeout draw. Consumes a random draw only when the rate is
-  // positive, so a zero-rate plane never perturbs anything.
-  [[nodiscard]] bool probe_times_out();
-
-  // Stateless variant for seeded traces: draws from a caller-held stream
-  // instead of the plane's sequential RNG, so parallel workers can evaluate
-  // timeouts for disjoint traces without sharing state.
+  // Per-probe timeout draw from a caller-held stream (see timeout_stream),
+  // so parallel workers evaluate timeouts for disjoint traces without
+  // sharing state. Consumes a draw only when the rate is positive, so a
+  // zero-rate plane never perturbs anything.
   [[nodiscard]] bool probe_times_out(Rng& rng) const;
 
   // Mint the per-trace timeout stream for a seeded trace. Pure: equal
-  // (plane seed, stream) always yields the same Rng, and the plane's own
-  // sequential timeout_rng_ is untouched.
+  // (plane seed, stream) always yields the same Rng.
   [[nodiscard]] Rng timeout_stream(std::uint64_t stream) const;
 
   // Snapshot-time degradation decision for a data-source record, keyed by
@@ -168,7 +166,6 @@ class FaultPlane {
 
   FaultPlan plan_;
   std::uint64_t seed_;
-  Rng timeout_rng_;
   std::unordered_map<std::uint32_t, BanState> bans_;
   std::size_t bans_tripped_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <optional>
 
 #include "util/trace.h"
@@ -50,61 +49,32 @@ MetroId MeasurementCampaign::metro_of(const VantagePoint& vp) const {
 std::vector<TraceResult> MeasurementCampaign::run(
     std::span<const VantagePoint* const> vps,
     const std::vector<Ipv4>& targets) {
-  TraceSpan span("campaign.run");
-  span.arg("vps", vps.size());
-  span.arg("targets", targets.size());
   std::vector<TraceResult> out;
-  if (faults_ != nullptr) {
-    by_metro_.clear();
-    for (const VantagePoint* vp : vps)
-      by_metro_[metro_of(*vp).value].push_back(vp);
-  }
-  if (pool_ != nullptr) speculate(vps, targets);
-  const KeepSink keep = [&out](const VantagePoint&, TraceResult&& trace) {
+  run(vps, targets, [&out](const VantagePoint&, TraceResult&& trace) {
     out.push_back(std::move(trace));
-  };
-  for (const Ipv4 target : targets) {
-    bool used_parallel_batch = false;
-    for (const VantagePoint* vp : vps) {
-      ++stats_.traces_attempted;
-      Trace::counter("campaign.traces_attempted");
-      run_unit(*vp, target, &used_parallel_batch, keep);
-    }
-    if (used_parallel_batch) clock_s_ += parallel_batch_s;
-  }
-  speculative_.clear();
-  span.arg("traces", out.size());
-  stats_.wall_ms += span.stop();
+  });
   return out;
 }
 
-std::size_t MeasurementCampaign::run_sharded(
-    std::span<const VantagePoint* const> vps,
-    const std::vector<Ipv4>& targets, const ShardPlan& plan,
-    const ShardedSink& sink) {
-  TraceSpan span("campaign.run_sharded");
+void MeasurementCampaign::run(std::span<const VantagePoint* const> vps,
+                              const std::vector<Ipv4>& targets,
+                              const KeepSink& keep) {
+  TraceSpan span("campaign.run");
   span.arg("vps", vps.size());
   span.arg("targets", targets.size());
-  span.arg("shards", plan.shards());
+  const std::size_t kept_before = stats_.traces_kept;
   if (faults_ != nullptr) {
     by_metro_.clear();
     for (const VantagePoint* vp : vps)
       by_metro_[metro_of(*vp).value].push_back(vp);
   }
-  std::size_t kept = 0;
-  const KeepSink keep = [&](const VantagePoint& vp, TraceResult&& trace) {
-    const MetroId metro = metro_of(vp);
-    ++kept;
-    sink(plan.shard_of(metro), metro, std::move(trace));
-  };
   // Speculate over bounded windows of targets so predictions in flight —
   // not the whole corpus — bound campaign memory. The window boundary is
   // invisible to the serial pass: it only decides when cache entries are
   // precomputed, never what the pass executes. 2048 units keeps the
-  // resident window under ~2 MB at paper-scale trace sizes — the spill
-  // engine's whole point is a peak RSS that does not scale with corpus
-  // volume — while a window is still dozens of times the pool's worker
-  // count, so speculation throughput is unaffected.
+  // resident window under ~2 MB at paper-scale trace sizes while a window
+  // is still dozens of times the pool's worker count, so speculation
+  // throughput is unaffected.
   constexpr std::size_t kSpeculationWindowUnits = 2048;
   const std::size_t block =
       pool_ != nullptr
@@ -112,9 +82,9 @@ std::size_t MeasurementCampaign::run_sharded(
                 1, kSpeculationWindowUnits / std::max<std::size_t>(1, vps.size()))
           : targets.size();
   for (std::size_t t0 = 0; t0 < targets.size(); t0 += block) {
-    const std::size_t n = std::min(block, targets.size() - t0);
-    const std::span<const Ipv4> window(targets.data() + t0, n);
-    if (pool_ != nullptr) speculate_sharded(vps, window, plan);
+    const std::span<const Ipv4> window(targets.data() + t0,
+                                       std::min(block, targets.size() - t0));
+    if (pool_ != nullptr) speculate(vps, window);
     for (const Ipv4 target : window) {
       bool used_parallel_batch = false;
       for (const VantagePoint* vp : vps) {
@@ -126,13 +96,12 @@ std::size_t MeasurementCampaign::run_sharded(
     }
   }
   speculative_.clear();
-  span.arg("traces", kept);
+  span.arg("traces", stats_.traces_kept - kept_before);
   stats_.wall_ms += span.stop();
-  return kept;
 }
 
 void MeasurementCampaign::speculate(std::span<const VantagePoint* const> vps,
-                                    const std::vector<Ipv4>& targets) {
+                                    std::span<const Ipv4> targets) {
   // Predict the stream id of every unit the serial pass will execute on
   // its happy path, walking units in the same target-major order. The
   // prediction can be wrong — failovers and abandoned units shift repeat
@@ -167,64 +136,9 @@ void MeasurementCampaign::speculate(std::span<const VantagePoint* const> vps,
                                             units[i].stream);
       });
 
-  speculative_.clear();
-  speculative_.reserve(units.size());
-  for (std::size_t i = 0; i < units.size(); ++i)
-    speculative_.emplace(units[i].stream, std::move(results[i]));
-}
-
-void MeasurementCampaign::speculate_sharded(
-    std::span<const VantagePoint* const> vps, std::span<const Ipv4> targets,
-    const ShardPlan& plan) {
-  // Coordinator half: predict the stream id of every unit in this window
-  // (same serial target-major order as speculate(); mispredictions miss
-  // harmlessly), then deal each shard's slice to one worker. Ownership
-  // is explicit — a unit belongs to the shard owning its VP's metro — so
-  // no two workers ever touch the same slice.
-  struct Unit {
-    const VantagePoint* vp;
-    Ipv4 target;
-    std::uint64_t stream;
-  };
-  std::vector<Unit> units;
-  units.reserve(vps.size() * targets.size());
-  std::vector<std::uint32_t> owner_of_vp;
-  owner_of_vp.reserve(vps.size());
-  for (const VantagePoint* vp : vps)
-    owner_of_vp.push_back(plan.shard_of(metro_of(*vp)));
-  auto predicted = repeats_;  // local copy; real counters bump at execute()
-  std::vector<std::vector<std::size_t>> by_shard(plan.shards());
-  for (const Ipv4 target : targets) {
-    for (std::size_t v = 0; v < vps.size(); ++v) {
-      const std::uint64_t key = unit_key(vps[v]->id, target);
-      by_shard[owner_of_vp[v]].push_back(units.size());
-      units.push_back({vps[v], target, unit_stream(key, predicted[key]++)});
-    }
-  }
-
-  TraceSpan span("campaign.speculate_sharded");
-  span.arg("units", units.size());
-  span.arg("shards", plan.shards());
-  std::vector<TraceResult> results(units.size());
-  std::vector<std::future<void>> workers;
-  workers.reserve(plan.shards());
-  for (std::uint32_t s = 0; s < plan.shards(); ++s) {
-    const std::vector<std::size_t>& mine = by_shard[s];
-    if (mine.empty()) continue;
-    workers.push_back(pool_->submit([this, &units, &results, &mine, s] {
-      TraceSpan worker("campaign.shard_worker");
-      worker.arg("shard", static_cast<std::uint64_t>(s));
-      worker.arg("units", mine.size());
-      for (const std::size_t i : mine)
-        results[i] = engine_.trace_seeded(*units[i].vp, units[i].target,
-                                          units[i].stream);
-    }));
-  }
-  for (std::future<void>& worker : workers) worker.get();
-
-  // Merge (coordinator again): window results replace the previous
-  // window's leftovers — a prediction the serial pass never consumed is
-  // stale by construction once its window has been executed.
+  // This window's results replace what the previous window left
+  // unconsumed; should the pass still want such a stream, it misses and
+  // computes it serially.
   speculative_.clear();
   speculative_.reserve(units.size());
   for (std::size_t i = 0; i < units.size(); ++i)

@@ -20,21 +20,16 @@
 //
 // Parallelism (docs/PARALLELISM.md): every executed trace draws all of its
 // noise from a stream id hash(vp, target, repeat#), so its result is a pure
-// function of that id. With a thread pool attached, run() first *speculates*
-// — computes the traces the serial pass will want, in parallel, into a
-// stream-keyed cache — then performs the exact same serial pass as ever
-// (clock, cool-downs, circuit breakers, accounting), which consumes cache
-// hits instead of recomputing. Because the cache is keyed by stream id and
-// trace execution is pure, output is byte-identical at every thread count;
-// with no pool the serial pass simply computes each trace on demand.
-// Sharded campaigns (docs/SCALE.md): run_sharded() performs the exact
-// same serial pass, but hands each kept trace to a caller sink tagged
-// with the owning shard (the ShardPlan's metro -> shard table), and its
-// speculation phase is partitioned by shard ownership — the coordinator
-// builds the global unit list, deals every shard's slice to one worker,
-// and merges the results. Since speculation is invisible to the serial
-// pass, run() and run_sharded() keep byte-identical traces in the same
-// order at any shard/thread combination.
+// function of that id. run() is one serial pass (clock, cool-downs, circuit
+// breakers, accounting) over windows of targets. With a thread pool
+// attached, each window is first *speculated* — the traces the pass will
+// want are computed in parallel into a stream-keyed cache — and the pass
+// then consumes cache hits instead of recomputing. Because the cache is
+// keyed by stream id and trace execution is pure, output is byte-identical
+// at every thread count and window size; with no pool the pass simply
+// computes each trace on demand. Windows bound the predictions in flight,
+// so campaign memory does not grow with the corpus (docs/SCALE.md): a
+// caller sink receives each kept trace as the pass keeps it.
 #pragma once
 
 #include <functional>
@@ -45,7 +40,6 @@
 #include "bgp/looking_glass.h"
 #include "net/faults.h"
 #include "traceroute/engine.h"
-#include "traceroute/shard.h"
 #include "util/thread_pool.h"
 
 namespace cfs {
@@ -56,33 +50,29 @@ class MeasurementCampaign {
                       LookingGlassDirectory& lgs,
                       FaultPlane* faults = nullptr);
 
-  // Attach a worker pool: run() speculatively executes traces in parallel
-  // before its serial pass. Null (the default) disables speculation; the
-  // serial pass then computes every trace itself — same results either way.
+  // Attach a worker pool: run() speculates each window of traces in
+  // parallel before its serial pass over that window. Null (the default)
+  // disables speculation; the serial pass then computes every trace itself
+  // — same results either way.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
   [[nodiscard]] ThreadPool* pool() const { return pool_; }
 
-  // Traceroutes from every given vantage point to every target. Looking
-  // glass vantage points are serialised per cool-down; others run in
-  // parallel batches. Unreachable traces (empty hop list) are dropped but
-  // counted. With a fault plane, the given span doubles as the failover
-  // pool (grouped by metro).
+  // Receives every trace the campaign keeps, in serial keep-order, with the
+  // vantage point that executed it (the failover VP when the unit failed
+  // over).
+  using KeepSink = std::function<void(const VantagePoint&, TraceResult&&)>;
+
+  // Traceroutes from every given vantage point to every target, each kept
+  // trace handed to `keep`. Looking glass vantage points are serialised per
+  // cool-down; others run in parallel batches. Unreachable traces (empty
+  // hop list) are dropped but counted. With a fault plane, the given span
+  // doubles as the failover pool (grouped by metro).
+  void run(std::span<const VantagePoint* const> vps,
+           const std::vector<Ipv4>& targets, const KeepSink& keep);
+
+  // Convenience wrapper: the kept traces, in keep-order.
   std::vector<TraceResult> run(std::span<const VantagePoint* const> vps,
                                const std::vector<Ipv4>& targets);
-
-  // Receives every trace run_sharded() keeps, in serial keep-order:
-  // the owning shard, the executing VP's metro, and the trace itself.
-  using ShardedSink =
-      std::function<void(std::uint32_t shard, MetroId metro, TraceResult&&)>;
-
-  // The out-of-core variant of run(): the identical serial pass, but
-  // kept traces stream to `sink` (tagged with their ShardPlan owner)
-  // instead of accumulating in memory, and speculation runs per shard
-  // over bounded windows of targets so in-flight predictions — not the
-  // corpus — bound campaign memory. Returns the number of kept traces.
-  std::size_t run_sharded(std::span<const VantagePoint* const> vps,
-                          const std::vector<Ipv4>& targets,
-                          const ShardPlan& plan, const ShardedSink& sink);
 
   // Single measurement convenience (advances the clock minimally). A probe
   // the fault plane kills returns an empty trace; there is no failover
@@ -115,9 +105,7 @@ class MeasurementCampaign {
   // backoff, at most one failover, trace execution, accounting. Exactly
   // one outcome counter is bumped per call. `batched` is the run() batch
   // flag; null on the probe() path (clock advances per trace instead).
-  // A kept trace goes to `keep` along with the VP that executed it (the
-  // failover target when the unit failed over).
-  using KeepSink = std::function<void(const VantagePoint&, TraceResult&&)>;
+  // A kept trace goes to `keep`.
   UnitOutcome run_unit(const VantagePoint& vp, Ipv4 target, bool* batched,
                        const KeepSink& keep);
 
@@ -129,14 +117,10 @@ class MeasurementCampaign {
   TraceResult execute(const VantagePoint& vp, Ipv4 target, bool* batched);
   [[nodiscard]] const VantagePoint* pick_failover(const VantagePoint& failed);
   [[nodiscard]] MetroId metro_of(const VantagePoint& vp) const;
-  // Parallel pre-computation of the traces the serial pass will consume.
+  // Parallel pre-computation of the traces the serial pass will consume
+  // over one window of targets.
   void speculate(std::span<const VantagePoint* const> vps,
-                 const std::vector<Ipv4>& targets);
-  // Shard-partitioned speculation over one window of targets: the global
-  // unit list (serial order) is split by ShardPlan ownership and each
-  // shard's slice is executed by one pool worker.
-  void speculate_sharded(std::span<const VantagePoint* const> vps,
-                         std::span<const Ipv4> targets, const ShardPlan& plan);
+                 std::span<const Ipv4> targets);
 
   const Topology& topo_;
   TracerouteEngine& engine_;

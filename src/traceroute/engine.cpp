@@ -12,12 +12,7 @@ TracerouteEngine::TracerouteEngine(const Topology& topo,
       forwarding_(forwarding),
       config_(config),
       seed_(seed),
-      rng_(seed),
       faults_(faults) {}
-
-TraceResult TracerouteEngine::trace(const VantagePoint& vp, Ipv4 target) {
-  return trace_impl(vp, target, rng_, nullptr);
-}
 
 TraceResult TracerouteEngine::trace_seeded(const VantagePoint& vp, Ipv4 target,
                                            std::uint64_t stream) const {
@@ -32,12 +27,10 @@ TraceResult TracerouteEngine::trace_seeded(const VantagePoint& vp, Ipv4 target,
 TraceResult TracerouteEngine::trace_impl(const VantagePoint& vp, Ipv4 target,
                                          Rng& noise, Rng* timeout_rng) const {
   traces_.fetch_add(1, std::memory_order_relaxed);
-  // Injected-timeout draw; guarded on faults_ so a plane-less engine never
-  // consumes from either stream.
+  // Injected-timeout draw; only trace_seeded() hands out a timeout stream,
+  // and only when the plane's timeout rate is positive.
   const auto times_out = [&]() {
-    if (faults_ == nullptr) return false;
-    return timeout_rng != nullptr ? faults_->probe_times_out(*timeout_rng)
-                                  : faults_->probe_times_out();
+    return timeout_rng != nullptr && faults_->probe_times_out(*timeout_rng);
   };
 
   TraceResult result;
@@ -115,28 +108,6 @@ TraceResult TracerouteEngine::trace_impl(const VantagePoint& vp, Ipv4 target,
     }
   }
   return result;
-}
-
-std::vector<TraceResult> TracerouteEngine::trace_all(
-    const VantagePoint& vp, const std::vector<Ipv4>& targets) {
-  std::vector<TraceResult> out;
-  out.reserve(targets.size());
-  for (const Ipv4 target : targets) out.push_back(trace(vp, target));
-  return out;
-}
-
-double TracerouteEngine::min_rtt_ms(const VantagePoint& vp, Ipv4 target,
-                                    int probes) {
-  const auto path = forwarding_.route(vp.attach, target);
-  if (path.empty()) return -1.0;
-  double best = 1e18;
-  for (int i = 0; i < probes; ++i) {
-    const double rtt = 2.0 * (vp.access_ms + path.back().cumulative_ms) +
-                       config_.processing_ms +
-                       std::max(0.0, rng_.normal(0.0, config_.jitter_ms));
-    best = std::min(best, rtt);
-  }
-  return best;
 }
 
 }  // namespace cfs

@@ -6,6 +6,9 @@
 // destination answers if probing reaches it. Paris flow pinning means the
 // path itself is deterministic — artifacts come from loss, filtering and
 // (under a FaultPlane) timeouts, the ones the paper's pipeline must survive.
+// There is one trace function, trace_seeded(): every draw comes from
+// streams split off a caller-chosen id, so a trace is a pure function of
+// (engine seed, stream) and the campaign can compute it on any thread.
 #pragma once
 
 #include <atomic>
@@ -44,41 +47,28 @@ struct EngineConfig {
 
 class TracerouteEngine {
  public:
-  // `faults` (optional) injects per-probe timeouts; it draws from its own
-  // RNG stream, so a null or zero-intensity plane leaves traces identical.
+  // `faults` (optional) injects per-probe timeouts from per-trace streams,
+  // so a null or zero-intensity plane leaves traces identical.
   TracerouteEngine(const Topology& topo, const ForwardingEngine& forwarding,
                    const EngineConfig& config, std::uint64_t seed,
                    FaultPlane* faults = nullptr);
 
-  // One traceroute from the vantage point to the target address, drawing
-  // noise from the engine's sequential RNG (the historical draw order).
-  TraceResult trace(const VantagePoint& vp, Ipv4 target);
-
-  // Pure seeded variant: all noise (loss, jitter, injected timeouts) comes
-  // from streams split off `stream`, never from shared state, so equal
-  // (engine seed, stream) yields an identical TraceResult on any thread at
-  // any time. This is what makes campaign parallelism deterministic: the
-  // result is a function of the stream id, not of execution order.
+  // One traceroute from the vantage point to the target address. All noise
+  // (loss, jitter, injected timeouts) comes from streams split off
+  // `stream`, never from shared state, so equal (engine seed, stream)
+  // yields an identical TraceResult on any thread at any time. This is what
+  // makes campaign parallelism deterministic: the result is a function of
+  // the stream id, not of execution order.
   TraceResult trace_seeded(const VantagePoint& vp, Ipv4 target,
                            std::uint64_t stream) const;
-
-  // Batch helper.
-  std::vector<TraceResult> trace_all(const VantagePoint& vp,
-                                     const std::vector<Ipv4>& targets);
-
-  // Minimum-RTT estimate to an address from a vantage point over n probes
-  // (used by the remote-peering detector exactly as the paper uses repeated
-  // pings at different times of day).
-  double min_rtt_ms(const VantagePoint& vp, Ipv4 target, int probes);
 
   [[nodiscard]] std::size_t traces_executed() const {
     return traces_.load(std::memory_order_relaxed);
   }
 
  private:
-  // Shared body: `noise` supplies loss/jitter draws; `timeout_rng` (when
-  // non-null) supplies injected-timeout draws, otherwise the fault plane's
-  // sequential stream is used.
+  // `noise` supplies loss/jitter draws; `timeout_rng` supplies
+  // injected-timeout draws, null meaning no injected timeouts.
   TraceResult trace_impl(const VantagePoint& vp, Ipv4 target, Rng& noise,
                          Rng* timeout_rng) const;
 
@@ -86,7 +76,6 @@ class TracerouteEngine {
   const ForwardingEngine& forwarding_;
   EngineConfig config_;
   std::uint64_t seed_;
-  Rng rng_;
   FaultPlane* faults_ = nullptr;
   mutable std::atomic<std::size_t> traces_{0};
 };

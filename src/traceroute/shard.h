@@ -1,14 +1,12 @@
-// Metro shard ownership for the sharded campaign (docs/SCALE.md).
+// Metro shard ownership for the spilled corpus (docs/SCALE.md).
 //
-// A ShardPlan is the coordinator's explicit ownership table: every metro
-// in the topology is assigned to exactly one shard, and every unit of
-// campaign work (a vantage point probing a target) belongs to the shard
-// owning the VP's metro. The plan is a pure function of the topology and
-// the shard count — sorted metro ids dealt round-robin — so coordinator
-// and workers (and a later re-open of the corpus) always agree on who
-// owns what, with no runtime negotiation. This mirrors the slash2
-// MDS/IOD split: one metadata authority hands out slice ownership,
-// independent workers execute their slices.
+// A ShardPlan is an explicit ownership table: every metro in the topology
+// is assigned to exactly one shard, and every kept campaign trace is
+// written to the shard owning its executing VP's metro. The plan decides
+// corpus placement only; the campaign itself is one serial pass that
+// never sees it. The plan is a pure function of the topology and the
+// shard count — sorted metro ids dealt round-robin — so the writer and a
+// later re-open of the corpus always agree on who owns what.
 #pragma once
 
 #include <cstdint>

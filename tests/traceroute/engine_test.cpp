@@ -56,7 +56,7 @@ TEST(Engine, TraceReachesBareHostAddress) {
   const Prefix& e_block = fx.net.topo.as_of(fx.e).prefixes.front();
   const Ipv4 target = e_block.at(e_block.size() / 2);
   const auto vp = fx.vp_at(fx.c, 1);
-  const TraceResult result = engine.trace(vp, target);
+  const TraceResult result = engine.trace_seeded(vp, target, 1);
   ASSERT_FALSE(result.hops.empty());
   EXPECT_TRUE(result.reached_target);
   EXPECT_EQ(result.hops.back().address, target);
@@ -70,7 +70,7 @@ TEST(Engine, TraceToInterfaceEndsOnThatAddress) {
 
   const Link& link = fx.net.topo.link(fx.c_e_link);
   const auto vp = fx.vp_at(fx.c, 1);
-  const TraceResult result = engine.trace(vp, link.b.address);
+  const TraceResult result = engine.trace_seeded(vp, link.b.address, 1);
   ASSERT_FALSE(result.hops.empty());
   EXPECT_TRUE(result.reached_target);
   EXPECT_EQ(result.hops.back().address, link.b.address);
@@ -84,7 +84,7 @@ TEST(Engine, PublicPeeringSignatureVisible) {
 
   const Prefix& e_block = fx.net.topo.as_of(fx.e).prefixes.front();
   const auto vp = fx.vp_at(fx.c, 3);
-  const TraceResult result = engine.trace(vp, e_block.at(500));
+  const TraceResult result = engine.trace_seeded(vp, e_block.at(500), 1);
   // Expect some hop with an IXP LAN address.
   bool ixp_hop = false;
   for (const Hop& hop : result.hops)
@@ -101,7 +101,7 @@ TEST(Engine, RttsIncludeAccessDelayAndGrow) {
 
   const Prefix& e_block = fx.net.topo.as_of(fx.e).prefixes.front();
   const auto vp = fx.vp_at(fx.c, 1, /*access=*/10.0);
-  const TraceResult result = engine.trace(vp, e_block.at(500));
+  const TraceResult result = engine.trace_seeded(vp, e_block.at(500), 1);
   ASSERT_GE(result.hops.size(), 2u);
   for (const Hop& hop : result.hops) {
     if (!hop.responded) continue;
@@ -123,7 +123,7 @@ TEST(Engine, UnresponsiveRouterLeavesGap) {
 
   const Prefix& e_block = fx.net.topo.as_of(fx.e).prefixes.front();
   const auto vp = fx.vp_at(fx.c, 3);
-  const TraceResult result = engine.trace(vp, e_block.at(500));
+  const TraceResult result = engine.trace_seeded(vp, e_block.at(500), 1);
   bool gap = false;
   for (const Hop& hop : result.hops) gap |= !hop.responded;
   EXPECT_TRUE(gap);
@@ -141,8 +141,8 @@ TEST(Engine, ProbeLossProducesGapsStatistically) {
   const auto vp = fx.vp_at(fx.c, 1);
   int missing = 0;
   int total = 0;
-  for (int i = 0; i < 50; ++i) {
-    const TraceResult result = engine.trace(vp, e_block.at(500));
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    const TraceResult result = engine.trace_seeded(vp, e_block.at(500), i);
     for (const Hop& hop : result.hops) {
       ++total;
       missing += !hop.responded;
@@ -152,30 +152,13 @@ TEST(Engine, ProbeLossProducesGapsStatistically) {
   EXPECT_LT(missing, 3 * total / 4);
 }
 
-TEST(Engine, MinRttConvergesToPathLatency) {
-  EngineFixture fx;
-  RoutingOracle oracle(fx.net.topo);
-  ForwardingEngine fwd(fx.net.topo, oracle);
-  EngineConfig cfg;
-  cfg.jitter_ms = 1.0;
-  cfg.probe_loss = 0.0;
-  TracerouteEngine engine(fx.net.topo, fwd, cfg, 3);
-
-  const Prefix& e_block = fx.net.topo.as_of(fx.e).prefixes.front();
-  const auto vp = fx.vp_at(fx.c, 1, 5.0);
-  const double few = engine.min_rtt_ms(vp, e_block.at(500), 2);
-  const double many = engine.min_rtt_ms(vp, e_block.at(500), 50);
-  EXPECT_GE(few, many);
-  EXPECT_GE(many, 10.0);  // at least the access-latency floor
-}
-
 TEST(Engine, UnreachableTargetGivesEmptyTrace) {
   EngineFixture fx;
   RoutingOracle oracle(fx.net.topo);
   ForwardingEngine fwd(fx.net.topo, oracle);
   TracerouteEngine engine(fx.net.topo, fwd, quiet_config(), 1);
   const auto vp = fx.vp_at(fx.c, 1);
-  const TraceResult result = engine.trace(vp, *Ipv4::parse("9.9.9.9"));
+  const TraceResult result = engine.trace_seeded(vp, *Ipv4::parse("9.9.9.9"), 1);
   EXPECT_TRUE(result.hops.empty());
   EXPECT_FALSE(result.reached_target);
 }

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/pipeline.h"
 #include "io/export.h"
 #include "support/mini_net.h"
 #include "traceroute/campaign.h"
+#include "util/trace.h"
 
 namespace cfs {
 namespace {
@@ -40,7 +43,8 @@ TEST(FaultPlane, ZeroPlanInjectsNothing) {
     EXPECT_FALSE(plane.lg_offline(RouterId(id), 1000.0));
     EXPECT_FALSE(plane.lg_banned(RouterId(id), 1000.0));
     EXPECT_FALSE(plane.vp_dead(VantagePointId(id), 1e9));
-    EXPECT_FALSE(plane.probe_times_out());
+    Rng timeouts = plane.timeout_stream(id);
+    EXPECT_FALSE(plane.probe_times_out(timeouts));
     EXPECT_FALSE(plane.withhold_record(0.0, id));
   }
 }
@@ -172,8 +176,8 @@ TEST(FaultedEngine, TimeoutsAreDistinctFromLoss) {
   ASSERT_FALSE(targets.empty());
 
   std::size_t timed_out = 0, responded = 0;
-  for (int rep = 0; rep < 20; ++rep) {
-    const TraceResult trace = engine.trace(vp, targets[0]);
+  for (std::uint64_t rep = 0; rep < 20; ++rep) {
+    const TraceResult trace = engine.trace_seeded(vp, targets[0], rep);
     std::size_t counted = 0;
     for (const Hop& hop : trace.hops) {
       EXPECT_FALSE(hop.responded && hop.timed_out);
@@ -373,6 +377,130 @@ TEST(FaultedCampaignTest, RateLimitBanTriggersBackoffAccounting) {
   EXPECT_GE(fm.lg_bans, 1u);
   EXPECT_GT(fm.retries, 0u);
   expect_invariant(fm);
+}
+
+// ---------------------------------------------------------------------------
+// Windowed campaign: the serial pass runs over windows of targets and, with
+// a pool, speculates each window before executing it. The tiny world with
+// every VP and every AS's targets spans several windows, and faults shift
+// repeat counters (failovers, abandoned units) that the next window's
+// predictions start from. Nothing of that may show in the output.
+
+FaultPlan window_fault_plan() {
+  FaultPlan plan;
+  plan.lg_outage_fraction = 0.5;
+  plan.lg_ban_burst = 3;
+  // Every probe host dies at some point of the ~8 h campaign, so failovers
+  // and abandoned units are spread over all of its windows.
+  plan.vp_churn_fraction = 1.0;
+  plan.vp_churn_horizon_s = 30000.0;
+  plan.probe_timeout_rate = 0.1;
+  plan.seed = 11;
+  return plan;
+}
+
+PipelineConfig window_config(int threads) {
+  PipelineConfig config = PipelineConfig::tiny();
+  config.faults = window_fault_plan();
+  config.threads = threads;
+  return config;
+}
+
+std::vector<Ipv4> every_target(const Topology& topo) {
+  std::vector<Ipv4> out;
+  for (const auto& as : topo.ases()) {
+    const auto per_as = MeasurementCampaign::targets_for(topo, as.asn);
+    out.insert(out.end(), per_as.begin(), per_as.end());
+  }
+  return out;
+}
+
+// Every byte of a trace, RTT bits included.
+std::string trace_bytes(const TraceResult& trace) {
+  std::string out;
+  const auto put = [&out](const auto& value) {
+    out.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(trace.vp.value);
+  put(trace.target.value());
+  put(trace.reached_target);
+  put(trace.hops_timed_out);
+  for (const Hop& hop : trace.hops) {
+    put(hop.address.value());
+    put(hop.rtt_ms);
+    put(hop.responded);
+    put(hop.timed_out);
+  }
+  return out;
+}
+
+struct WindowedRun {
+  std::vector<std::string> traces;  // kept traces, in keep-order
+  FaultMetrics stats;
+  double elapsed_s = 0.0;
+  std::uint64_t speculated_windows = 0;
+};
+
+// Every VP probes every target of every AS, and the target list is walked
+// twice in one run: a unit's second execution lives in a later window, so
+// that window's predictions start from repeat counters the earlier
+// windows' faults shifted. `sink` selects the sink overload of run() over
+// the vector wrapper.
+WindowedRun run_windowed(int threads, bool sink) {
+  Pipeline pipeline(window_config(threads));
+  std::vector<const VantagePoint*> vps;
+  for (const VantagePoint& vp : pipeline.vantage_points().all())
+    vps.push_back(&vp);
+  const std::vector<Ipv4> once = every_target(pipeline.topology());
+  std::vector<Ipv4> targets = once;
+  targets.insert(targets.end(), once.begin(), once.end());
+  MeasurementCampaign& campaign = pipeline.campaign();
+  WindowedRun out;
+  const auto speculations = [] {
+    const MetricsSnapshot snap = Trace::metrics();
+    const auto it = snap.timers.find("campaign.speculate");
+    return it == snap.timers.end() ? std::uint64_t{0} : it->second.count;
+  };
+  const std::uint64_t before = speculations();
+  if (sink) {
+    campaign.run(vps, targets,
+                 [&out](const VantagePoint& vp, TraceResult&& trace) {
+                   EXPECT_EQ(trace.vp, vp.id);
+                   out.traces.push_back(trace_bytes(trace));
+                 });
+  } else {
+    for (const TraceResult& trace : campaign.run(vps, targets))
+      out.traces.push_back(trace_bytes(trace));
+  }
+  out.speculated_windows = speculations() - before;
+  out.stats = campaign.fault_stats();
+  out.elapsed_s = campaign.virtual_elapsed_s();
+  return out;
+}
+
+TEST(CampaignWindows, PooledPassMatchesSerialAcrossWindows) {
+  const WindowedRun serial = run_windowed(1, false);
+  const WindowedRun pooled = run_windowed(4, false);
+  EXPECT_EQ(serial.speculated_windows, 0u);
+  EXPECT_GE(pooled.speculated_windows, 3u);
+  // The plan must exercise what shifts repeat counters.
+  EXPECT_GT(serial.stats.failovers, 0u);
+  EXPECT_GT(serial.stats.probes_abandoned, 0u);
+  expect_invariant(serial.stats);
+
+  EXPECT_EQ(serial.stats, pooled.stats);  // every counter but wall_ms
+  EXPECT_EQ(serial.elapsed_s, pooled.elapsed_s);
+  ASSERT_EQ(serial.traces.size(), pooled.traces.size());
+  for (std::size_t i = 0; i < serial.traces.size(); ++i)
+    ASSERT_EQ(serial.traces[i], pooled.traces[i]) << "kept trace " << i;
+}
+
+TEST(CampaignWindows, SinkMatchesRunVector) {
+  const WindowedRun vector = run_windowed(4, false);
+  const WindowedRun sink = run_windowed(4, true);
+  EXPECT_EQ(vector.stats, sink.stats);
+  EXPECT_EQ(vector.elapsed_s, sink.elapsed_s);
+  EXPECT_EQ(vector.traces, sink.traces);
 }
 
 // ---------------------------------------------------------------------------
