@@ -33,8 +33,10 @@ void BM_MonotonicBoundsTest(benchmark::State& state) {
     a.push_back({0.2 * i, static_cast<std::uint16_t>(100 + 37 * i)});
     b.push_back({0.2 * i + 0.1, static_cast<std::uint16_t>(118 + 37 * i)});
   }
+  IpIdSeries merged(a.size() + b.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(monotonic_bounds_test(a, b));
+    benchmark::DoNotOptimize(monotonic_bounds_test(
+        a.data(), a.size(), b.data(), b.size(), merged.data()));
   }
 }
 BENCHMARK(BM_MonotonicBoundsTest);

@@ -14,29 +14,22 @@
 
 namespace cfs {
 
-struct AllyConfig {
-  int trials = 3;                // repeated tests, all must agree
-  std::uint16_t window = 220;    // max total IP-ID advance across a probe
-  double probe_gap_s = 0.01;     // spacing of the back-to-back probes
-  double trial_gap_s = 5.0;      // spacing between repeated trials
-};
-
 enum class AllyVerdict { Alias, NotAlias, Unresponsive };
 std::string_view ally_verdict_name(AllyVerdict verdict);
 
 class AllyResolver {
  public:
-  AllyResolver(const Topology& topo, std::uint64_t seed,
-               const AllyConfig& config = {});
+  AllyResolver(const Topology& topo, std::uint64_t seed);
 
-  // Pairwise test; Unresponsive when either side never answers.
+  // Pairwise test over repeated a, b, a probe trials (constants in
+  // ally.cpp): Alias only when every trial is in sequence within the
+  // window; Unresponsive when either side never answers.
   [[nodiscard]] AllyVerdict test_pair(Ipv4 a, Ipv4 b);
 
   [[nodiscard]] std::size_t probes_sent() const { return probes_; }
 
  private:
   IpIdModel model_;
-  AllyConfig config_;
   std::size_t probes_ = 0;
   double clock_s_ = 0.0;
 };

@@ -1,7 +1,5 @@
 #include "alias/ipid.h"
 
-#include <cmath>
-
 namespace cfs {
 
 IpIdModel::IpIdModel(const Topology& topo, std::uint64_t seed)
@@ -15,25 +13,6 @@ IpIdModel::IpIdModel(const Topology& topo, std::uint64_t seed)
     state.rate = rng.uniform_real(50.0, 4000.0);
     counters_.emplace(router.id.value, state);
   }
-}
-
-std::optional<std::uint16_t> IpIdModel::probe(Ipv4 addr, double t_s) {
-  const Interface* iface = topo_.find_interface(addr);
-  if (iface == nullptr) return std::nullopt;
-  const Router& router = topo_.router(iface->router);
-  switch (router.ipid) {
-    case IpIdBehaviour::Unresponsive:
-      return std::nullopt;
-    case IpIdBehaviour::Zero:
-      return std::uint16_t{0};
-    case IpIdBehaviour::Random:
-      return static_cast<std::uint16_t>(probe_rng_.uniform(65536));
-    case IpIdBehaviour::SharedCounter: {
-      const CounterState& state = counters_.at(router.id.value);
-      return shared_counter_ipid(state.offset, state.rate, t_s);
-    }
-  }
-  return std::nullopt;
 }
 
 IpIdModel::CompiledTarget IpIdModel::compile(Ipv4 addr) const {

@@ -24,16 +24,10 @@ class IpIdModel {
  public:
   IpIdModel(const Topology& topo, std::uint64_t seed);
 
-  // IP-ID contained in a reply to a probe of `addr` sent at virtual time
-  // `t_s` (seconds); nullopt when the interface is unknown or its router
-  // filters alias-resolution probes.
-  [[nodiscard]] std::optional<std::uint16_t> probe(Ipv4 addr, double t_s);
-
   // Pre-resolved probe target: the interface/router/counter hash lookups
   // hoisted out of the per-probe path (the resolver's pair-corroboration
   // stage issues hundreds of millions of probes at paper scale). An
-  // unknown address compiles to Unresponsive — the same nullopt outcome
-  // probe() gives it, with no RNG consumption either way.
+  // unknown address compiles to Unresponsive. Compiling draws no RNG.
   struct CompiledTarget {
     IpIdBehaviour behaviour = IpIdBehaviour::Unresponsive;
     double offset = 0.0;
@@ -41,10 +35,10 @@ class IpIdModel {
   };
   [[nodiscard]] CompiledTarget compile(Ipv4 addr) const;
 
-  // Byte-identical to probe(addr, t_s) for the address `target` was
-  // compiled from: same reply values (the shared-counter arithmetic goes
-  // through the one shared helper) and the same probe_rng_ consumption
-  // order (exactly one draw per Random-router probe).
+  // IP-ID contained in a reply to a probe of the compiled target sent at
+  // virtual time `t_s` (seconds); nullopt when the interface is unknown or
+  // its router filters alias-resolution probes. Each probe of a
+  // Random-behaviour router draws once from probe_rng_.
   [[nodiscard]] std::optional<std::uint16_t> probe_compiled(
       const CompiledTarget& target, double t_s) {
     switch (target.behaviour) {
@@ -54,10 +48,18 @@ class IpIdModel {
         return std::uint16_t{0};
       case IpIdBehaviour::Random:
         return static_cast<std::uint16_t>(probe_rng_.uniform(65536));
-      case IpIdBehaviour::SharedCounter:
-        return shared_counter_ipid(target.offset, target.rate, t_s);
+      case IpIdBehaviour::SharedCounter: {
+        const double value = target.offset + target.rate * t_s;
+        return static_cast<std::uint16_t>(
+            static_cast<std::uint64_t>(std::floor(value)) % 65536);
+      }
     }
     return std::nullopt;
+  }
+
+  // One-off probe of `addr`: compile plus probe_compiled.
+  [[nodiscard]] std::optional<std::uint16_t> probe(Ipv4 addr, double t_s) {
+    return probe_compiled(compile(addr), t_s);
   }
 
   // Ground-truth counter velocity in IDs/second (test introspection).
@@ -68,16 +70,6 @@ class IpIdModel {
     double offset = 0.0;
     double rate = 0.0;  // IDs per second
   };
-
-  // One definition for both probe paths so the floating-point contraction
-  // the compiler picks is the same in each — the equivalence goldens
-  // compare replies byte for byte.
-  static std::uint16_t shared_counter_ipid(double offset, double rate,
-                                           double t_s) {
-    const double value = offset + rate * t_s;
-    return static_cast<std::uint16_t>(
-        static_cast<std::uint64_t>(std::floor(value)) % 65536);
-  }
 
   const Topology& topo_;
   std::unordered_map<std::uint32_t, CounterState> counters_;  // per router

@@ -3,24 +3,30 @@
 #include <algorithm>
 
 namespace cfs {
+namespace {
 
-bool velocities_compatible(double va, double vb, const MbtConfig& config) {
+constexpr double kVelocityRatioMax = 1.25;  // sieve: velocities this close
+constexpr double kVelocitySlack = 2.0;      // per-gap growth allowance
+constexpr double kMinGapAllowance = 64.0;   // absolute ID budget, tiny gaps
+
+}  // namespace
+
+bool velocities_compatible(double va, double vb) {
   if (va <= 0.0 || vb <= 0.0) return false;
-  if (va > config.random_velocity_cutoff || vb > config.random_velocity_cutoff)
-    return false;
+  if (va > kRandomVelocityCutoff || vb > kRandomVelocityCutoff) return false;
   const double ratio = va > vb ? va / vb : vb / va;
-  return ratio <= config.velocity_ratio_max;
+  return ratio <= kVelocityRatioMax;
 }
 
 bool monotonic_bounds_test(const IpIdSample* a, std::size_t na,
                            const IpIdSample* b, std::size_t nb,
-                           const MbtConfig& config, IpIdSample* merged) {
+                           IpIdSample* merged) {
   if (na < 3 || nb < 3) return false;
   if (is_constant(a, na) || is_constant(b, nb)) return false;
 
   const double va = estimate_velocity(a, na);
   const double vb = estimate_velocity(b, nb);
-  if (!velocities_compatible(va, vb, config)) return false;
+  if (!velocities_compatible(va, vb)) return false;
   const double v = (va + vb) / 2.0;
 
   // Merge by timestamp and verify each consecutive modular delta fits the
@@ -36,17 +42,10 @@ bool monotonic_bounds_test(const IpIdSample* a, std::size_t na,
     const std::uint16_t delta = static_cast<std::uint16_t>(
         merged[i].ipid - merged[i - 1].ipid);
     const double budget =
-        std::max(config.min_gap_allowance, v * gap * config.velocity_slack);
+        std::max(kMinGapAllowance, v * gap * kVelocitySlack);
     if (static_cast<double>(delta) > budget) return false;
   }
   return true;
-}
-
-bool monotonic_bounds_test(const IpIdSeries& a, const IpIdSeries& b,
-                           const MbtConfig& config) {
-  IpIdSeries merged(a.size() + b.size());
-  return monotonic_bounds_test(a.data(), a.size(), b.data(), b.size(), config,
-                               merged.data());
 }
 
 }  // namespace cfs

@@ -11,26 +11,18 @@
 
 namespace cfs {
 
-struct MbtConfig {
-  double velocity_ratio_max = 1.25;  // sieve: velocities must be this close
-  double velocity_slack = 2.0;       // per-gap growth allowance multiplier
-  double min_gap_allowance = 64.0;   // absolute ID budget for tiny gaps
-  double random_velocity_cutoff = 50000.0;  // above this: randomised source
-};
+// Estimated velocities above this (IDs/second) mark a randomised source.
+inline constexpr double kRandomVelocityCutoff = 50000.0;
 
 // True when the two series could plausibly come from one shared counter.
-bool monotonic_bounds_test(const IpIdSeries& a, const IpIdSeries& b,
-                           const MbtConfig& config = {});
-
-// Allocation-free span form for the resolver's corroboration hot loop
-// (tens of millions of calls at paper scale): `merged` is caller-provided
-// scratch with room for na + nb samples. Bit-identical verdicts to the
-// vector form — same merge order, same arithmetic.
+// `merged` is caller-provided scratch with room for na + nb samples, so the
+// resolver's corroboration loop (tens of millions of calls at paper scale)
+// allocates nothing.
 bool monotonic_bounds_test(const IpIdSample* a, std::size_t na,
                            const IpIdSample* b, std::size_t nb,
-                           const MbtConfig& config, IpIdSample* merged);
+                           IpIdSample* merged);
 
 // Velocity sieve used before the full test.
-bool velocities_compatible(double va, double vb, const MbtConfig& config = {});
+bool velocities_compatible(double va, double vb);
 
 }  // namespace cfs

@@ -10,18 +10,10 @@
 
 #include <vector>
 
+#include "alias/ipid.h"
 #include "alias/mbt.h"
 
 namespace cfs {
-
-struct AliasResolutionConfig {
-  ProberConfig prober;
-  MbtConfig mbt;
-  int corroboration_rounds = 3;
-  // Virtual-time spacing between corroboration rounds; large spacing turns
-  // small velocity differences into offset drift the MBT can detect.
-  double round_spacing_s = 1200.0;
-};
 
 struct AliasSets {
   // Each entry is one inferred router: all addresses believed to be its
@@ -36,17 +28,14 @@ struct AliasSets {
 
 class AliasResolver {
  public:
-  AliasResolver(const Topology& topo, std::uint64_t seed,
-                const AliasResolutionConfig& config = {});
+  AliasResolver(const Topology& topo, std::uint64_t seed);
 
   [[nodiscard]] AliasSets resolve(const std::vector<Ipv4>& targets);
 
   [[nodiscard]] std::size_t probes_sent() const { return probes_; }
 
  private:
-  const Topology& topo_;
   IpIdModel model_;
-  AliasResolutionConfig config_;
   std::size_t probes_ = 0;
   double clock_s_ = 0.0;
 };

@@ -1,26 +1,6 @@
 #include "alias/prober.h"
 
-#include <algorithm>
-
 namespace cfs {
-
-AliasProber::AliasProber(IpIdModel& model, const ProberConfig& config)
-    : model_(model), config_(config) {}
-
-std::unordered_map<Ipv4, IpIdSeries> AliasProber::collect(
-    const std::vector<Ipv4>& targets, double start_s) {
-  std::unordered_map<Ipv4, IpIdSeries> out;
-  double clock = start_s;
-  for (int round = 0; round < config_.samples_per_target; ++round) {
-    for (const Ipv4 target : targets) {
-      ++probes_;
-      if (const auto ipid = model_.probe(target, clock))
-        out[target].push_back(IpIdSample{clock, *ipid});
-      clock += config_.probe_interval_s;
-    }
-  }
-  return out;
-}
 
 double estimate_velocity(const IpIdSample* samples, std::size_t n) {
   if (n < 3) return -1.0;
@@ -38,18 +18,10 @@ double estimate_velocity(const IpIdSample* samples, std::size_t n) {
   return total / span;
 }
 
-double estimate_velocity(const IpIdSeries& series) {
-  return estimate_velocity(series.data(), series.size());
-}
-
 bool is_constant(const IpIdSample* samples, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
     if (samples[i].ipid != samples[0].ipid) return false;
   return true;
-}
-
-bool is_constant(const IpIdSeries& series) {
-  return is_constant(series.data(), series.size());
 }
 
 }  // namespace cfs

@@ -1,11 +1,10 @@
-// Interleaved IP-ID probing (MIDAR's estimation and corroboration stages
-// both reduce to this collection primitive).
+// IP-ID sample series and the per-series checks MIDAR's estimation stage
+// runs on them (alias/midar.cpp collects the series).
 #pragma once
 
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
-
-#include "alias/ipid.h"
 
 namespace cfs {
 
@@ -16,37 +15,11 @@ struct IpIdSample {
 
 using IpIdSeries = std::vector<IpIdSample>;
 
-struct ProberConfig {
-  int samples_per_target = 12;
-  double probe_interval_s = 0.1;  // spacing between consecutive probes
-};
-
-class AliasProber {
- public:
-  AliasProber(IpIdModel& model, const ProberConfig& config);
-
-  // Round-robin probes over all targets starting at `start_s`; targets that
-  // never answer are absent from the result.
-  [[nodiscard]] std::unordered_map<Ipv4, IpIdSeries> collect(
-      const std::vector<Ipv4>& targets, double start_s);
-
-  [[nodiscard]] std::size_t probes_sent() const { return probes_; }
-
- private:
-  IpIdModel& model_;
-  ProberConfig config_;
-  std::size_t probes_ = 0;
-};
-
 // Counter velocity in IDs/second estimated from a sample series, handling
 // 16-bit wraparound; negative when the series is too short or constant.
-// The span form is the implementation; the vector form delegates, so both
-// produce bit-identical arithmetic over the same samples.
 double estimate_velocity(const IpIdSample* samples, std::size_t n);
-double estimate_velocity(const IpIdSeries& series);
 
 // True when the series is constant (zero / unchanging IP-ID source).
 bool is_constant(const IpIdSample* samples, std::size_t n);
-bool is_constant(const IpIdSeries& series);
 
 }  // namespace cfs

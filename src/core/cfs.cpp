@@ -17,6 +17,17 @@
 #include "util/trace.h"
 
 namespace cfs {
+namespace {
+
+// Step 4 budget per chased interface: how many target ASes are probed, and
+// the vantage-point count whose excess over two is drawn at random.
+constexpr std::size_t kFollowupTargets = 2;
+constexpr int kFollowupVps = 3;
+// Alias resolution (the expensive probing stage) re-runs over newly
+// observed interfaces on iteration 1 and every this many iterations.
+constexpr int kAliasRefreshInterval = 10;
+
+}  // namespace
 
 struct ConstrainedFacilitySearch::State {
   State(const IpToAsnService& ip2asn, const Topology& topo,
@@ -273,66 +284,26 @@ void ConstrainedFacilitySearch::apply_facility_constraints(
     return;
   }
 
-  // Pass worklist in ascending key order (== ascending `order` position).
-  // Dead-slot bits stay in the count, matching the old worklist whose
-  // vanished keys were counted but skipped.
-  const std::vector<std::uint32_t>& order = state.fold.store.order();
-  std::vector<std::uint32_t> dirty_slots;
+  // Serial walk in ascending key order (the order index is key-sorted, so
+  // key order == position order). Dead-slot bits stay in the count,
+  // matching the old worklist whose vanished keys were counted but
+  // skipped. Changes made mid-pass re-queue observations: slots whose key
+  // is past the cursor have their dirty bit set and are picked up later in
+  // this same walk; slots at or before the cursor land in `pending` for the
+  // next iteration — exactly the full engine's behavior, which sees an
+  // earlier change only on its next sweep.
   im.dirty_observations += state.dirty.count();
-  dirty_slots.reserve(state.dirty.count());
-  for (const std::uint32_t slot : order)
-    if (state.dirty.test(slot)) dirty_slots.push_back(slot);
-
-  // Speculate Step-2 plans for the pass worklist in parallel: they are pure
-  // per observation (core/rules.h), so the fan-out cannot perturb the
-  // serial apply below — the speculate-then-replay pattern classification
-  // already uses.
-  constexpr std::size_t kParallelThreshold = 32;
-  std::vector<Step2Plan> specs(dirty_slots.size());
-  std::vector<char> have_spec(dirty_slots.size(), 0);
-  if (pool_ != nullptr && dirty_slots.size() >= kParallelThreshold) {
-    TraceSpan spec_span("cfs.speculate_directives");
-    spec_span.arg("observations", dirty_slots.size());
-    pool_->parallel_for_chunks(
-        dirty_slots.size(), [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::uint32_t slot = dirty_slots[i];
-            if (!state.fold.store.live(slot)) continue;
-            specs[i] =
-                plan_step2(topo_, db_, detector, state.fold.store.value(slot));
-            have_spec[i] = 1;
-          }
-        });
-  }
-
-  // Serial ordered apply. Changes made mid-pass re-queue observations:
-  // slots whose key is past the cursor have their dirty bit set and are
-  // picked up later in this same walk (the order index is key-sorted, so
-  // key order == position order); slots at or before the cursor land in
-  // `pending` for the next iteration — exactly the full engine's
-  // behavior, which sees an earlier change only on its next sweep.
-  std::size_t next_spec = 0;  // cursor into dirty_slots/specs
-  for (const std::uint32_t slot : order) {
+  for (const std::uint32_t slot : state.fold.store.order()) {
     if (!state.dirty.test(slot)) continue;
     state.dirty.reset(slot);
-    // A speculated slot keeps its bit until visited, so the spec cursor
-    // advances exactly when the walk passes it.
-    const bool speculated =
-        next_spec < dirty_slots.size() && dirty_slots[next_spec] == slot;
-    if (state.fold.store.live(slot)) {  // key may have vanished at refresh
-      const std::uint64_t key = state.fold.store.key(slot);
-      const PeeringObservation& obs = state.fold.store.value(slot);
-      const auto requeue = [&](std::uint32_t h) {
-        note_candidates_changed(state, h, &key);
-      };
-      if (speculated && have_spec[next_spec])
-        state.fold.apply_step2(specs[next_spec], obs, iteration, requeue);
-      else
-        state.fold.apply_step2(plan_step2(topo_, db_, detector, obs), obs,
-                               iteration, requeue);
-      ++im.constrained_observations;
-    }
-    if (speculated) ++next_spec;
+    if (!state.fold.store.live(slot)) continue;  // vanished at refresh
+    const std::uint64_t key = state.fold.store.key(slot);
+    const PeeringObservation& obs = state.fold.store.value(slot);
+    state.fold.apply_step2(plan_step2(topo_, db_, detector, obs), obs,
+                           iteration, [&](std::uint32_t h) {
+                             note_candidates_changed(state, h, &key);
+                           });
+    ++im.constrained_observations;
   }
 }
 
@@ -410,41 +381,34 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
     // facilities, preferring the smallest overlap (most constraining) and
     // penalising ASes colocated at IXPs already used as constraints.
     std::vector<std::pair<double, Asn>> scored;
-    if (config_.random_followups) {
-      for (int k = 0; k < config_.followup_targets; ++k) {
-        const auto& as = topo_.ases()[state.rng.index(topo_.ases().size())];
-        if (as.asn != iface_asn) scored.emplace_back(0.0, as.asn);
-      }
-    } else {
-      std::unordered_set<std::uint32_t> considered;
-      for (std::uint32_t ci = 0; ci < n_cands; ++ci) {
-        const auto it = state.present_at.find(cands[ci].value);
-        if (it == state.present_at.end()) continue;
-        for (const Asn cand : it->second) {
-          if (cand == iface_asn) continue;
-          if (!considered.insert(cand.value).second) continue;
-          const auto& ft = db_.facilities_of(cand);
-          const std::size_t overlap =
-              set_intersect_count(ft.data(), ft.size(), cands,
-                                  static_cast<std::size_t>(n_cands));
-          if (overlap == 0 || overlap >= n_cands) continue;
-          double score = static_cast<double>(overlap);
-          // A traceroute can only add a constraint for this AS's router if
-          // it exits through it: known neighbors are far more likely to.
-          if (!state.as_neighbors(iface_asn, cand)) score += 5.0;
-          for (const IxpId ixp : ifaces.queried_ixps(h)) {
-            if (set_intersects(ft, db_.ixp_facilities(ixp)))
-              score += 10.0;  // already-queried IXP: deprioritise
-          }
-          scored.emplace_back(score, cand);
+    std::unordered_set<std::uint32_t> considered;
+    for (std::uint32_t ci = 0; ci < n_cands; ++ci) {
+      const auto it = state.present_at.find(cands[ci].value);
+      if (it == state.present_at.end()) continue;
+      for (const Asn cand : it->second) {
+        if (cand == iface_asn) continue;
+        if (!considered.insert(cand.value).second) continue;
+        const auto& ft = db_.facilities_of(cand);
+        const std::size_t overlap =
+            set_intersect_count(ft.data(), ft.size(), cands,
+                                static_cast<std::size_t>(n_cands));
+        if (overlap == 0 || overlap >= n_cands) continue;
+        double score = static_cast<double>(overlap);
+        // A traceroute can only add a constraint for this AS's router if
+        // it exits through it: known neighbors are far more likely to.
+        if (!state.as_neighbors(iface_asn, cand)) score += 5.0;
+        for (const IxpId ixp : ifaces.queried_ixps(h)) {
+          if (set_intersects(ft, db_.ixp_facilities(ixp)))
+            score += 10.0;  // already-queried IXP: deprioritise
         }
+        scored.emplace_back(score, cand);
       }
-      std::sort(scored.begin(), scored.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first < b.first;
-                  return a.second < b.second;
-                });
     }
+    std::sort(scored.begin(), scored.end(),
+              [](const auto& a, const auto& b) {
+                if (a.first != b.first) return a.first < b.first;
+                return a.second < b.second;
+              });
 
     if (scored.empty()) {
       // No viable target: the slot launched nothing, so it must not burn
@@ -453,8 +417,7 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
       ++im.followups_skipped;
       continue;
     }
-    scored.resize(std::min<std::size_t>(
-        scored.size(), static_cast<std::size_t>(config_.followup_targets)));
+    scored.resize(std::min(scored.size(), kFollowupTargets));
 
     // Vantage points: ones that already traversed this interface (likely to
     // cross the same router), then looking glasses *inside* the interface's
@@ -474,7 +437,7 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
     }
     // Always keep some random exploration in the mix; a fully deterministic
     // probe set reaches a fixed point and stops contributing constraints.
-    for (int extra = 0; extra < std::max(1, config_.followup_vps - 2); ++extra)
+    for (int extra = 0; extra < kFollowupVps - 2; ++extra)
       if (!all_vps.empty())
         probes.push_back(all_vps[state.rng.index(all_vps.size())]);
 
@@ -563,8 +526,7 @@ CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
     iteration_span.arg("iteration", static_cast<std::uint64_t>(iteration));
 
     if (config_.use_alias_constraints &&
-        (iteration == 1 ||
-         (iteration % std::max(1, config_.alias_refresh_interval)) == 0))
+        (iteration == 1 || iteration % kAliasRefreshInterval == 0))
       refresh_aliases(state, im);
 
     TraceSpan constrain_timer("cfs.constrain");

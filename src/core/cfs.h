@@ -32,11 +32,12 @@
 // SoA interface table with arena-backed candidate spans
 // (core/iface_table.h) and a slot-stable key-ordered observation store
 // (core/obs_store.h) — docs/ALGORITHM.md "Memory layout". This engine adds
-// the dirty/pending worklists as bitsets over slots, speculates
-// per-observation Step-2 plans in parallel on the pool (they are pure
-// functions of the observation and the databases) and applies them
-// serially in ascending key order, so reports are byte-identical at any
-// --threads N. Strings survive only at the ingest and export boundaries.
+// the dirty/pending worklists as bitsets over slots and walks them
+// serially in ascending key order, planning and applying each
+// observation's Step 2 in turn. Only Step 1 classification fans across
+// the pool, into index-ordered slots, so reports are byte-identical at
+// any --threads N. Strings survive only at the ingest and export
+// boundaries.
 //
 // CFS deliberately sees only the public-information layers: the merged
 // facility database, the IP-to-ASN service, DNS-free traceroute output and
@@ -63,18 +64,13 @@ namespace cfs {
 struct CfsConfig {
   int max_iterations = 100;
   // Follow-up budget per iteration: how many unresolved interfaces are
-  // chased, with how many vantage points and target ASes each.
+  // chased (the per-interface target and vantage-point counts are fixed
+  // in cfs.cpp).
   int followup_interfaces = 48;
-  int followup_vps = 3;
-  int followup_targets = 2;
-  // Alias resolution is re-run over newly observed interfaces every this
-  // many iterations (it is the expensive probing stage).
-  int alias_refresh_interval = 10;
   RemoteDetectorConfig remote;
   // Ablation switches (DESIGN.md Section 4).
   bool use_alias_constraints = true;
   bool use_border_mapping = true;  // MAP-IT-style /30 ownership repair
-  bool random_followups = false;
   // Incremental engine (default): alias refreshes re-classify only traces
   // touching a corrected address, constraint passes only observations whose
   // endpoints changed. `false` re-runs every pass from scratch; both paths
@@ -88,9 +84,9 @@ struct CfsConfig {
 
 class ConstrainedFacilitySearch {
  public:
-  // `pool` (optional) fans per-trace classification and Step-2 plan
-  // speculation across workers; the constraint loop itself stays serial so
-  // convergence order is unchanged. CfsMetrics::threads records its size.
+  // `pool` (optional) fans per-trace classification across workers; the
+  // constraint loop itself stays serial so convergence order is unchanged.
+  // CfsMetrics::threads records its size.
   ConstrainedFacilitySearch(const Topology& topo, const FacilityDatabase& db,
                             const IpToAsnService& ip2asn,
                             MeasurementCampaign& campaign,

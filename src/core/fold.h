@@ -6,8 +6,8 @@
 //
 // Both engines feed it from the per-trace Step-1 cache (core/trace_cache.h),
 // replayed in trace order. The batch engine (core/cfs.cpp) layers its
-// dirty/pending worklists, parallel plan speculation and follow-up probing
-// on the per-observation and per-alias-set primitives; its full engine
+// dirty/pending worklists and follow-up probing on the per-observation
+// and per-alias-set primitives; its full engine
 // (`incremental = false`) runs the full passes. The stream engine
 // (stream/engine.cpp) builds one fresh fold per epoch, absorbs the cached
 // observations, runs one Step-2 pass and one alias pass, and builds the

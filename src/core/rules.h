@@ -10,8 +10,8 @@
 //     remote, from the same observation plus the databases (Section 4.4).
 //
 // Both are pure functions of the observation and the public databases —
-// no engine state — which is what lets the batch engine speculate plans
-// in parallel and the stream engine re-derive epochs deterministically.
+// no engine state — so both engines derive the same plans and the stream
+// engine re-derives epochs deterministically.
 // Plans address endpoints by role (near/far) rather than by any engine's
 // interface handle, so each engine maps roles onto its own row ids.
 #pragma once

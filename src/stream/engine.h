@@ -94,7 +94,6 @@ class StreamEngine {
   // Events must arrive in stream order across calls.
   [[nodiscard]] StreamSnapshot fold_epoch(std::span<const StreamEvent> events);
 
-  [[nodiscard]] std::uint64_t epochs_folded() const { return epoch_; }
   [[nodiscard]] std::size_t traces_ingested() const { return cache_.size(); }
   [[nodiscard]] const FacilityDatabase& facility_db() const { return db_; }
 

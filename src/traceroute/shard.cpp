@@ -25,11 +25,4 @@ std::uint32_t ShardPlan::shard_of(MetroId metro) const {
   return metro.value % shards_;
 }
 
-std::vector<std::uint32_t> ShardPlan::owned_metros(std::uint32_t shard) const {
-  std::vector<std::uint32_t> out;
-  for (const auto& [metro, owner] : owners_)
-    if (owner == shard) out.push_back(metro);
-  return out;
-}
-
 }  // namespace cfs

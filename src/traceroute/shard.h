@@ -28,10 +28,6 @@ class ShardPlan {
   // is total either way.
   [[nodiscard]] std::uint32_t shard_of(MetroId metro) const;
 
-  // Metros owned by one shard, ascending (for inspection and tests).
-  [[nodiscard]] std::vector<std::uint32_t> owned_metros(
-      std::uint32_t shard) const;
-
  private:
   std::uint32_t shards_ = 1;
   // Sorted (metro id, shard) pairs; binary-searched by shard_of.

@@ -42,26 +42,6 @@ template <class T>
   return out;
 }
 
-template <class T>
-[[nodiscard]] std::vector<T> set_union_of(const std::vector<T>& a,
-                                          const std::vector<T>& b) {
-  assert(sorted_unique(a) && sorted_unique(b));
-  std::vector<T> out;
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-template <class T>
-[[nodiscard]] std::vector<T> set_difference_of(const std::vector<T>& a,
-                                               const std::vector<T>& b) {
-  assert(sorted_unique(a) && sorted_unique(b));
-  std::vector<T> out;
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(out));
-  return out;
-}
-
 // inner ⊆ outer.
 template <class T>
 [[nodiscard]] bool set_subset(const T* inner, std::size_t n, const T* outer,

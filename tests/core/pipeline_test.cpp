@@ -63,5 +63,43 @@ TEST(PipelineCampaign, VpFractionScalesTraceCount) {
   EXPECT_GT(big_run.size(), small_run.size());
 }
 
+// Figure 7's per-platform curves rely on CfsConfig::platform_filter: with
+// initial traces from RIPE Atlas only, every follow-up and reverse probe
+// must also come from an Atlas VP, so no interface is ever seen from
+// another platform.
+TEST(PipelineCfs, PlatformFilterKeepsEveryProbeOnThatPlatform) {
+  PipelineConfig config = PipelineConfig::tiny();
+  config.cfs.platform_filter = Platform::RipeAtlas;
+  Pipeline pipeline(config);
+  const VantagePointSet& vps = pipeline.vantage_points();
+
+  std::vector<const VantagePoint*> atlas;
+  std::size_t others = 0;
+  for (const VantagePoint& vp : vps.all()) {
+    if (vp.platform == Platform::RipeAtlas)
+      atlas.push_back(&vp);
+    else
+      ++others;
+  }
+  ASSERT_FALSE(atlas.empty());
+  ASSERT_GT(others, 0u);  // the filter has something to exclude
+
+  std::vector<Ipv4> targets;
+  for (const Asn asn : pipeline.default_targets(2, 2)) {
+    const auto t = MeasurementCampaign::targets_for(pipeline.topology(), asn);
+    targets.insert(targets.end(), t.begin(), t.end());
+  }
+  auto traces = pipeline.campaign().run(atlas, targets);
+  const std::size_t initial = traces.size();
+  const CfsReport report = pipeline.run_cfs(std::move(traces));
+  ASSERT_GT(report.traces_used, initial);  // follow-ups did run
+
+  ASSERT_FALSE(report.interfaces.empty());
+  for (const auto& [addr, inference] : report.interfaces)
+    for (const VantagePointId vp : inference.seen_from)
+      EXPECT_EQ(vps.vp(vp).platform, Platform::RipeAtlas)
+          << addr.to_string() << " seen from VP " << vp.value;
+}
+
 }  // namespace
 }  // namespace cfs

@@ -175,15 +175,16 @@ TEST(ShardPlanTest, MetrosPartitionExactlyOnceAcrossShards) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const ShardPlan plan = ShardPlan::build(topo, shards);
     EXPECT_EQ(plan.shards(), shards);
-    // Every metro is owned by exactly one shard, and owned_metros() is
-    // consistent with shard_of().
-    std::size_t owned_total = 0;
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      for (const std::uint32_t metro : plan.owned_metros(s)) {
-        EXPECT_EQ(plan.shard_of(MetroId(metro)), s) << "metro " << metro;
-        ++owned_total;
-      }
+    // Every metro is owned by exactly one shard: shard_of() names an
+    // in-range owner for each, and the per-shard counts add up.
+    std::vector<std::size_t> owned(shards, 0);
+    for (const Metro& metro : topo.metros()) {
+      const std::uint32_t s = plan.shard_of(metro.id);
+      ASSERT_LT(s, shards) << "metro " << metro.id.value;
+      ++owned[s];
     }
+    std::size_t owned_total = 0;
+    for (const std::size_t n : owned) owned_total += n;
     EXPECT_EQ(owned_total, topo.metros().size());
   }
 }
@@ -202,13 +203,11 @@ TEST(ShardPlanTest, RoundRobinDealBalancesWithinOne) {
   PipelineConfig config = base_config(5);
   Pipeline pipeline(config);
   const ShardPlan plan = ShardPlan::build(pipeline.topology(), 3);
-  std::size_t lo = SIZE_MAX, hi = 0;
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    const std::size_t n = plan.owned_metros(s).size();
-    lo = std::min(lo, n);
-    hi = std::max(hi, n);
-  }
-  EXPECT_LE(hi - lo, 1u);
+  std::vector<std::size_t> owned(3, 0);
+  for (const Metro& metro : pipeline.topology().metros())
+    ++owned[plan.shard_of(metro.id)];
+  const auto [lo, hi] = std::minmax_element(owned.begin(), owned.end());
+  EXPECT_LE(*hi - *lo, 1u);
 }
 
 TEST(ShardPlanTest, UnknownMetroFallsBackToModulo) {
