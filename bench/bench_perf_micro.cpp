@@ -1,9 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical kernels:
-// longest-prefix match, monotonic bounds test, AS-path computation,
-// traceroute synthesis, and an end-to-end tiny CFS run.
+// longest-prefix match, monotonic bounds test, one whole alias resolve,
+// AS-path computation, traceroute synthesis, and an end-to-end tiny CFS
+// run.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "alias/mbt.h"
+#include "alias/midar.h"
 #include "core/pipeline.h"
 
 namespace cfs {
@@ -40,6 +44,24 @@ void BM_MonotonicBoundsTest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MonotonicBoundsTest);
+
+// One MIDAR resolve of every router interface of the small world, with a
+// fresh resolver per iteration so each starts from the same clock and
+// Random-IPID stream. Stage 3 (pair corroboration) dominates it.
+void BM_AliasResolve(benchmark::State& state) {
+  static const Topology topo = generate_topology(GeneratorConfig::small_scale());
+  std::vector<Ipv4> targets;
+  for (const auto& router : topo.routers())
+    targets.insert(targets.end(), router.interfaces.begin(),
+                   router.interfaces.end());
+  std::sort(targets.begin(), targets.end());
+  for (auto _ : state) {
+    AliasResolver resolver(topo, 7);
+    benchmark::DoNotOptimize(resolver.resolve(targets));
+  }
+  state.counters["targets"] = static_cast<double>(targets.size());
+}
+BENCHMARK(BM_AliasResolve)->Unit(benchmark::kMillisecond);
 
 void BM_RoutingTableComputation(benchmark::State& state) {
   static const Topology topo = generate_topology(GeneratorConfig::small_scale());

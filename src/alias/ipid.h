@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -26,8 +27,8 @@ class IpIdModel {
 
   // Pre-resolved probe target: the interface/router/counter hash lookups
   // hoisted out of the per-probe path (the resolver's pair-corroboration
-  // stage issues hundreds of millions of probes at paper scale). An
-  // unknown address compiles to Unresponsive. Compiling draws no RNG.
+  // stage answers tens of millions of probes at paper scale). An unknown
+  // address compiles to Unresponsive. Compiling draws no RNG.
   struct CompiledTarget {
     IpIdBehaviour behaviour = IpIdBehaviour::Unresponsive;
     double offset = 0.0;
@@ -47,7 +48,9 @@ class IpIdModel {
       case IpIdBehaviour::Zero:
         return std::uint16_t{0};
       case IpIdBehaviour::Random:
-        return static_cast<std::uint16_t>(probe_rng_.uniform(65536));
+        // Low 16 bits of one draw: what uniform(65536) returns, since a
+        // power-of-two bound never rejects, without its two divisions.
+        return static_cast<std::uint16_t>(probe_rng_.next() % 65536);
       case IpIdBehaviour::SharedCounter: {
         const double value = target.offset + target.rate * t_s;
         return static_cast<std::uint16_t>(
@@ -55,6 +58,13 @@ class IpIdModel {
       }
     }
     return std::nullopt;
+  }
+
+  // Advances the Random-reply stream past `n` replies that are scheduled
+  // but never read, leaving it where `n` Random probes would: each reply
+  // is exactly one next().
+  void skip_random_replies(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) probe_rng_.next();
   }
 
   // One-off probe of `addr`: compile plus probe_compiled.

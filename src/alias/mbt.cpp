@@ -6,8 +6,6 @@ namespace cfs {
 namespace {
 
 constexpr double kVelocityRatioMax = 1.25;  // sieve: velocities this close
-constexpr double kVelocitySlack = 2.0;      // per-gap growth allowance
-constexpr double kMinGapAllowance = 64.0;   // absolute ID budget, tiny gaps
 
 }  // namespace
 

@@ -5,7 +5,17 @@
 // sources. Stage 2 (sieve): sort by velocity and only consider pairs whose
 // velocities are compatible. Stage 3 (corroboration): run the monotonic
 // bounds test on freshly collected interleaved samples for each candidate
-// pair; passing pairs are merged with union-find into alias sets.
+// pair; passing pairs are merged with union-find into alias sets. Replies
+// are screened as they arrive and computed only up to the first delta no
+// acceptable velocity allows (delta_exceeds_any_budget), which fails the
+// round exactly as the full test would; most pairs stop after one or two
+// replies.
+//
+// probes_sent() still counts every scheduled probe, including those whose
+// replies a screened-out round never computes, and such a round leaves
+// the virtual clock and the Random-IPID stream where a full collection
+// would: sets, unresolved targets and probe counts are those of
+// collecting every reply first.
 #pragma once
 
 #include <vector>

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
 #include "support/mini_net.h"
 #include "topology/generator.h"
+#include "util/rng.h"
 
 namespace cfs {
 namespace {
@@ -146,6 +151,84 @@ TEST(Mbt, VelocitySieve) {
   EXPECT_FALSE(velocities_compatible(100.0, 1e6));
 }
 
+// The screen is conservative: a series holding any consecutive merged
+// delta it flags never passes the full test. Seeded synthetic pairs on
+// the resolver's interleaved 0.1 s schedule, taken at clock magnitudes up
+// to 1e11 (where one ulp is about 1.5e-5 s, so gaps are not exactly 0.1),
+// cover one shared counter, two distinct counters, one shared counter
+// with a single injected jump, and Random IP-IDs on one or both sides,
+// with counter velocities up to kRandomVelocityCutoff.
+TEST(Mbt, ScreenNeverRejectsAPassingPair) {
+  // The edge: a delta equal to the largest budget any acceptable velocity
+  // allows is not flagged, one more ID is. At 0.1 s that budget is
+  // cutoff * gap * slack = 10000; below 0.00064 s the 64-ID allowance
+  // dominates; at a clock of 1e11 a 0.1 s step measures 0.1000061 s.
+  EXPECT_FALSE(delta_exceeds_any_budget(0.1, 10000));
+  EXPECT_TRUE(delta_exceeds_any_budget(0.1, 10001));
+  EXPECT_FALSE(delta_exceeds_any_budget(0.0001, 64));
+  EXPECT_TRUE(delta_exceeds_any_budget(0.0001, 65));
+  const double far_gap = (1e11 + 0.1) - 1e11;
+  EXPECT_FALSE(delta_exceeds_any_budget(far_gap, 10000));
+  EXPECT_TRUE(delta_exceeds_any_budget(far_gap, 10001));
+
+  Rng rng(20261019);
+  constexpr int kSamples = 12;
+  std::size_t flagged = 0;
+  std::size_t passing = 0;
+  IpIdSeries a(kSamples), b(kSamples), merged(2 * kSamples);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const double base =
+        std::floor(std::pow(10.0, rng.uniform_real(0.0, 11.0))) - 1.0;
+    const double rate_a =
+        std::pow(10.0, rng.uniform_real(0.0, std::log10(kRandomVelocityCutoff)));
+    const double offset_a = rng.uniform_real(0.0, 65536.0);
+    const int kind = static_cast<int>(rng.uniform(5));
+    // 0 shared, 1 distinct, 2 shared + jump, 3 one Random side, 4 both.
+    const double rate_b = kind == 1 ? rate_a * rng.uniform_real(0.8, 1.25)
+                                    : rate_a;
+    const double offset_b =
+        kind == 1 ? rng.uniform_real(0.0, 65536.0) : offset_a;
+    const auto counter = [](double offset, double rate, double t) {
+      return static_cast<std::uint16_t>(
+          static_cast<std::uint64_t>(std::floor(offset + rate * t)) % 65536);
+    };
+    double clock = base;
+    for (int r = 0; r < kSamples; ++r) {
+      a[r] = {clock, kind == 4 ? static_cast<std::uint16_t>(rng.uniform(65536))
+                               : counter(offset_a, rate_a, clock)};
+      clock += 0.1;
+      b[r] = {clock, kind >= 3 ? static_cast<std::uint16_t>(rng.uniform(65536))
+                               : counter(offset_b, rate_b, clock)};
+      clock += 0.1;
+    }
+    if (kind == 2) {
+      IpIdSample& hit = rng.chance(0.5) ? a[rng.index(kSamples)]
+                                        : b[rng.index(kSamples)];
+      hit.ipid = static_cast<std::uint16_t>(hit.ipid + rng.uniform(20001));
+    }
+
+    std::merge(a.begin(), a.end(), b.begin(), b.end(), merged.begin(),
+               [](const IpIdSample& x, const IpIdSample& y) {
+                 return x.t_s < y.t_s;
+               });
+    bool screened_out = false;
+    for (std::size_t i = 1; i < merged.size(); ++i)
+      screened_out |= delta_exceeds_any_budget(
+          merged[i].t_s - merged[i - 1].t_s,
+          static_cast<std::uint16_t>(merged[i].ipid - merged[i - 1].ipid));
+    const bool pass = mbt(a, b);
+    if (screened_out) {
+      ++flagged;
+      EXPECT_FALSE(pass) << "trial " << trial << " kind " << kind
+                         << " base " << base << " rate " << rate_a;
+    }
+    passing += pass ? 1 : 0;
+  }
+  // Both sides of the property are exercised.
+  EXPECT_GT(flagged, 1000u);
+  EXPECT_GT(passing, 1000u);
+}
+
 TEST(UnionFindTest, BasicMerging) {
   UnionFind uf(5);
   EXPECT_NE(uf.find(0), uf.find(1));
@@ -216,6 +299,166 @@ TEST(Resolver, DuplicateTargetsDeduplicated) {
   for (const auto& set : sets.sets)
     occurrences += std::count(set.begin(), set.end(), addr);
   EXPECT_EQ(occurrences, 1u);
+}
+
+// The resolver before its Stage-3 screen, built only from public API:
+// every corroboration round collects all 2 * kSamples replies and then
+// runs the full monotonic bounds test. Schedule constants mirror
+// alias/midar.cpp. Also counts the corroborated pairs by how many of
+// their sides are Random-IPID sources.
+class UnscreenedResolver {
+ public:
+  UnscreenedResolver(const Topology& topo, std::uint64_t seed)
+      : model_(topo, seed) {}
+
+  AliasSets resolve(const std::vector<Ipv4>& targets) {
+    constexpr int kSamples = 12;
+    constexpr double kProbeIntervalS = 0.1;
+    constexpr int kCorroborationRounds = 3;
+    constexpr double kRoundSpacingS = 1200.0;
+    AliasSets out;
+    std::vector<Ipv4> addrs;
+    {
+      std::unordered_map<Ipv4, bool> seen;
+      for (const Ipv4 a : targets)
+        if (!std::exchange(seen[a], true)) addrs.push_back(a);
+    }
+    std::vector<IpIdModel::CompiledTarget> compiled;
+    for (const Ipv4 a : addrs) compiled.push_back(model_.compile(a));
+
+    std::vector<IpIdSeries> series(addrs.size());
+    double clock = clock_s_;
+    for (int round = 0; round < kSamples; ++round)
+      for (std::size_t k = 0; k < addrs.size(); ++k) {
+        if (const auto ipid = model_.probe_compiled(compiled[k], clock))
+          series[k].push_back(IpIdSample{clock, *ipid});
+        clock += kProbeIntervalS;
+      }
+    probes_ += addrs.size() * static_cast<std::size_t>(kSamples);
+    clock_s_ += static_cast<double>(addrs.size()) * kSamples * kProbeIntervalS;
+
+    std::vector<std::pair<double, std::size_t>> candidates;  // (v, slot)
+    for (std::size_t k = 0; k < addrs.size(); ++k) {
+      const double v =
+          series[k].empty()
+              ? -1.0
+              : estimate_velocity(series[k].data(), series[k].size());
+      if (v <= 0.0 || v > kRandomVelocityCutoff)
+        out.unresolved.push_back(addrs[k]);
+      else
+        candidates.emplace_back(v, k);
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+
+    UnionFind uf(candidates.size());
+    IpIdSeries sa, sb;
+    for (std::size_t i = 0; i < candidates.size(); ++i)
+      for (std::size_t j = i + 1; j < candidates.size(); ++j) {
+        if (!velocities_compatible(candidates[i].first, candidates[j].first))
+          break;
+        if (uf.find(i) == uf.find(j)) continue;
+        const auto& ca = compiled[candidates[i].second];
+        const auto& cb = compiled[candidates[j].second];
+        ++pairs_by_random_sides[(ca.behaviour == IpIdBehaviour::Random) +
+                                (cb.behaviour == IpIdBehaviour::Random)];
+        bool pass = true;
+        for (int round = 0; round < kCorroborationRounds && pass; ++round) {
+          sa.clear();
+          sb.clear();
+          double t = clock_s_;
+          for (int r = 0; r < kSamples; ++r) {
+            if (const auto ipid = model_.probe_compiled(ca, t))
+              sa.push_back(IpIdSample{t, *ipid});
+            t += kProbeIntervalS;
+            if (const auto ipid = model_.probe_compiled(cb, t))
+              sb.push_back(IpIdSample{t, *ipid});
+            t += kProbeIntervalS;
+          }
+          clock_s_ += kRoundSpacingS;
+          probes_ += 2 * static_cast<std::size_t>(kSamples);
+          pass = !sa.empty() && !sb.empty() && mbt(sa, sb);
+        }
+        if (pass) uf.unite(i, j);
+      }
+
+    std::unordered_map<std::size_t, std::size_t> root_to_set;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const auto [it, inserted] =
+          root_to_set.try_emplace(uf.find(i), out.sets.size());
+      if (inserted) out.sets.emplace_back();
+      out.sets[it->second].push_back(addrs[candidates[i].second]);
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::size_t probes_sent() const { return probes_; }
+
+  std::size_t pairs_by_random_sides[3] = {0, 0, 0};
+
+ private:
+  IpIdModel model_;
+  std::size_t probes_ = 0;
+  double clock_s_ = 0.0;
+};
+
+// The Stage-3 screen changes how much is computed, never the outcome: on
+// generated worlds, each of two back-to-back resolves of a growing target
+// set (as CFS refreshes run them) returns the same sets, unresolved
+// targets and probe count as the unscreened loop. The second call checks
+// that the virtual clock and the Random-IPID stream carried over exactly.
+// One world raises ipid_random_prob so Random x counter and Random x
+// Random pairs are common. The small worlds resolve every fourth
+// interface, which keeps the unscreened reference near 100k pairs each.
+TEST(Resolver, ScreenedCorroborationMatchesUnscreened) {
+  struct World {
+    const char* name;
+    GeneratorConfig config;
+    std::size_t stride;  // resolve every stride-th interface
+  };
+  std::vector<World> worlds;
+  GeneratorConfig random_heavy = GeneratorConfig::small_scale();
+  random_heavy.ipid_random_prob = 0.45;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    GeneratorConfig tiny = GeneratorConfig::tiny();
+    GeneratorConfig small = GeneratorConfig::small_scale();
+    GeneratorConfig heavy = random_heavy;
+    tiny.seed = small.seed = heavy.seed = seed;
+    worlds.push_back({"tiny", tiny, 1});
+    worlds.push_back({"small", small, 4});
+    worlds.push_back({"small random-heavy", heavy, 4});
+  }
+
+  std::size_t random_pairs[3] = {0, 0, 0};
+  for (const World& world : worlds) {
+    SCOPED_TRACE(std::string(world.name) + " seed " +
+                 std::to_string(world.config.seed));
+    const Topology topo = generate_topology(world.config);
+    std::vector<Ipv4> interfaces;
+    for (const auto& router : topo.routers())
+      interfaces.insert(interfaces.end(), router.interfaces.begin(),
+                        router.interfaces.end());
+    std::sort(interfaces.begin(), interfaces.end());
+    std::vector<Ipv4> all;
+    for (std::size_t k = 0; k < interfaces.size(); k += world.stride)
+      all.push_back(interfaces[k]);
+    std::vector<Ipv4> first(all.begin(), all.begin() + all.size() / 2);
+
+    AliasResolver screened(topo, world.config.seed + 100);
+    UnscreenedResolver reference(topo, world.config.seed + 100);
+    for (const std::vector<Ipv4>* targets : {&first, &all}) {
+      const AliasSets got = screened.resolve(*targets);
+      const AliasSets want = reference.resolve(*targets);
+      EXPECT_EQ(got.sets, want.sets);
+      EXPECT_EQ(got.unresolved, want.unresolved);
+      EXPECT_EQ(screened.probes_sent(), reference.probes_sent());
+    }
+    for (int k = 0; k < 3; ++k)
+      random_pairs[k] += reference.pairs_by_random_sides[k];
+  }
+  EXPECT_GT(random_pairs[0], 0u);
+  EXPECT_GT(random_pairs[1], 0u);
+  EXPECT_GT(random_pairs[2], 0u);
 }
 
 // Property test at generated scale: zero false positives is the MIDAR
