@@ -5,11 +5,11 @@
 // the selected topology (--scale tiny|small|paper, default paper) with
 // the campaign volume multiplied --mult times (the default target list
 // probed --mult times over, so trace volume scales without touching the
-// topology): once with the in-memory engine and once spilled to a
-// metro-sharded on-disk corpus (--shards). Each arm runs in a forked
-// child so wait4's ru_maxrss reports that arm's true peak RSS, unpolluted
-// by the other arm's allocations. Emits every sample as BENCH_scale.json
-// (override with --out=FILE).
+// topology): once with the in-memory engine and once spilled to an
+// on-disk column corpus. Each arm runs in a forked child so wait4's
+// ru_maxrss reports that arm's true peak RSS, unpolluted by the other
+// arm's allocations. Emits every sample as BENCH_scale.json (override
+// with --out=FILE).
 //
 // Acceptance bars:
 //   * the spill arm resolves exactly the interfaces the in-memory arm
@@ -17,7 +17,7 @@
 //   * spill peak RSS <= --rss-bar (default 0.5) of the in-memory arm's —
 //     the whole point of the out-of-core engine;
 //   * --baseline=FILE[,FILE...] compares wall_ms per
-//     (engine, mult, threads, shards) sample against committed runs via
+//     (engine, mult, threads) sample against committed runs via
 //     the shared bench guard and fails on >10% regression.
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -42,7 +42,6 @@ struct Sample {
   std::string engine;  // "memory" | "spill"
   int mult = 1;
   int threads = 1;
-  std::uint32_t shards = 1;
   double wall_ms = 0.0;
   double campaign_ms = 0.0;
   double cfs_ms = 0.0;
@@ -66,14 +65,13 @@ std::uint64_t directory_bytes(const std::string& dir) {
 // single JSON line with the child-side numbers to `fd` and _exits, so
 // the parent's wait4 rusage is exactly this run's footprint.
 [[noreturn]] void run_child(const PipelineConfig& base, int mult, int threads,
-                            std::uint32_t shards, bool spill,
-                            const std::string& corpus_dir, int fd) {
+                            bool spill, const std::string& corpus_dir,
+                            int fd) {
   PipelineConfig config = base;
   config.threads = threads;
   if (spill) {
     config.spill.enabled = true;
     config.spill.dir = corpus_dir;
-    config.spill.shards = shards;
   }
   Stopwatch wall;
   Pipeline pipeline(config);
@@ -113,14 +111,12 @@ std::uint64_t directory_bytes(const std::string& dir) {
 
 // Forks one pipeline run and harvests wall/phase times (from the child,
 // over a pipe) plus peak RSS (from wait4's rusage).
-Sample run_arm(const PipelineConfig& base, int mult, int threads,
-               std::uint32_t shards, bool spill,
+Sample run_arm(const PipelineConfig& base, int mult, int threads, bool spill,
                const std::string& corpus_dir) {
   Sample s;
   s.engine = spill ? "spill" : "memory";
   s.mult = mult;
   s.threads = threads;
-  s.shards = spill ? shards : 1;
 
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) throw std::runtime_error("pipe() failed");
@@ -128,7 +124,7 @@ Sample run_arm(const PipelineConfig& base, int mult, int threads,
   if (pid < 0) throw std::runtime_error("fork() failed");
   if (pid == 0) {
     ::close(pipe_fds[0]);
-    run_child(base, mult, threads, shards, spill, corpus_dir, pipe_fds[1]);
+    run_child(base, mult, threads, spill, corpus_dir, pipe_fds[1]);
   }
   ::close(pipe_fds[1]);
   std::string line;
@@ -167,7 +163,6 @@ JsonValue to_json(const std::vector<Sample>& samples, double rss_ratio,
     row.emplace("engine", s.engine);
     row.emplace("mult", static_cast<std::uint64_t>(s.mult));
     row.emplace("threads", static_cast<std::uint64_t>(s.threads));
-    row.emplace("shards", static_cast<std::uint64_t>(s.shards));
     row.emplace("wall_ms", s.wall_ms);
     row.emplace("campaign_ms", s.campaign_ms);
     row.emplace("cfs_ms", s.cfs_ms);
@@ -190,7 +185,6 @@ int main(int argc, char** argv) {
   std::string scale = "paper";
   int mult = 10;
   int threads = 4;
-  std::uint32_t shards = 4;
   double rss_bar = 0.5;
   std::string baseline_list;
   std::string out_path = "BENCH_scale.json";
@@ -200,7 +194,6 @@ int main(int argc, char** argv) {
     scale = flags.get("scale", "paper");
     mult = static_cast<int>(flags.get_int("mult", 10));
     threads = static_cast<int>(flags.get_int("threads", 4));
-    shards = static_cast<std::uint32_t>(flags.get_int("shards", 4));
     rss_bar = flags.get_double("rss-bar", 0.5);
     baseline_list = flags.get("baseline", "");
     out_path = flags.get("out", out_path);
@@ -210,8 +203,8 @@ int main(int argc, char** argv) {
     if (scale != "tiny" && scale != "small" && scale != "paper")
       throw std::invalid_argument("unknown --scale '" + scale +
                                   "' (tiny|small|paper)");
-    if (mult < 1 || shards < 1 || threads < 1)
-      throw std::invalid_argument("--mult/--shards/--threads must be >= 1");
+    if (mult < 1 || threads < 1)
+      throw std::invalid_argument("--mult/--threads must be >= 1");
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 2;
@@ -230,15 +223,15 @@ int main(int argc, char** argv) {
   bool ok = true;
   std::vector<Sample> samples;
   std::cout << "scale " << scale << ", campaign x" << mult << ", threads "
-            << threads << ", shards " << shards << "\n\n";
+            << threads << "\n\n";
 
   Sample memory_arm;
   Sample spill_arm;
   try {
-    memory_arm = run_arm(config, mult, threads, shards, false, corpus_dir);
+    memory_arm = run_arm(config, mult, threads, false, corpus_dir);
     samples.push_back(memory_arm);
     std::filesystem::remove_all(corpus_dir);
-    spill_arm = run_arm(config, mult, threads, shards, true, corpus_dir);
+    spill_arm = run_arm(config, mult, threads, true, corpus_dir);
     samples.push_back(spill_arm);
     std::filesystem::remove_all(corpus_dir);
   } catch (const std::exception& error) {
@@ -286,7 +279,7 @@ int main(int argc, char** argv) {
   const JsonValue document = to_json(samples, rss_ratio, rss_bar);
   if (!baseline_list.empty()) {
     BenchGuardSpec spec;
-    spec.keys = {"engine", "mult", "threads", "shards"};
+    spec.keys = {"engine", "mult", "threads"};
     spec.metric = "wall_ms";
     const BenchGuardResult guard = check_bench_baseline_files(
         document, split_baseline_list(baseline_list), spec);

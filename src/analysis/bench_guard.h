@@ -4,7 +4,7 @@
 // array and compares it against one or more committed baselines. The
 // matching logic is the same everywhere — a sample is identified by a
 // tuple of key fields ({"corpus","threads"} for the parallel bench,
-// {"engine","mult","threads","shards"} for the scale bench), a single
+// {"engine","mult","threads"} for the scale bench), a single
 // metric field carries the guarded wall time, and a regression past the
 // tolerance fails the run — so it lives here once, unit-tested, instead
 // of re-grown ad hoc inside each bench's main().

@@ -243,12 +243,18 @@ void ConstrainedFacilitySearch::refresh_aliases(State& state,
     // The incremental engine feeds its one mapper only the new traces.
     BorderMapper rebuilt(ip2asn_);
     BorderMapper& mapper = config_.incremental ? state.border : rebuilt;
-    state.cache.scan(config_.incremental ? state.border_upto : 0,
-                     [&mapper](std::size_t, const TraceResult& trace) {
-                       mapper.ingest(trace);
-                     });
+    const std::size_t first = config_.incremental ? state.border_upto : 0;
+    TraceSpan ingest_span("border.ingest");
+    ingest_span.arg("traces", state.cache.size() - first);
+    state.cache.scan(first, [&mapper](std::size_t, const TraceResult& trace) {
+      mapper.ingest(trace);
+    });
+    ingest_span.stop();
     state.border_upto = state.cache.size();
-    state.asn_map.apply_border_corrections(mapper.corrections());
+    TraceSpan corrections_span("border.corrections");
+    const auto corrections = mapper.corrections();
+    corrections_span.arg("corrections", corrections.size());
+    state.asn_map.apply_border_corrections(corrections);
   }
   // New alias sets: every set must be re-intersected from scratch.
   state.alias_set_ticks.assign(state.aliases.sets.size(), 0);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "data/corpus/corpus.h"
-#include "traceroute/shard.h"
 #include "util/log.h"
 
 namespace cfs {
@@ -187,27 +186,19 @@ corpus::TraceStore Pipeline::initial_campaign_store(
 
   const auto probes = sample_probes(vp_fraction);
   const auto targets = campaign_targets(target_ases);
-  const auto plan = ShardPlan::build(topo_, config_.spill.shards);
 
   log_info() << "initial campaign (spill): " << probes.size() << " VPs x "
-             << targets.size() << " targets -> " << plan.shards()
-             << " shards at " << config_.spill.dir;
+             << targets.size() << " targets -> " << config_.spill.dir;
   TraceSpan span("pipeline.initial_campaign");
   span.arg("vps", probes.size());
   span.arg("targets", targets.size());
-  span.arg("shards", static_cast<std::size_t>(plan.shards()));
 
-  corpus::TraceCorpusWriter writer(config_.spill.dir, plan.shards());
-  std::size_t kept = 0;
+  corpus::TraceCorpusWriter writer(config_.spill.dir);
   campaign_->run(probes, targets,
-                 [&](const VantagePoint& vp, TraceResult&& trace) {
-                   const MetroId metro =
-                       topo_.metro_of(topo_.router(vp.attach).facility);
-                   writer.append(plan.shard_of(metro), metro, std::move(trace));
-                   ++kept;
+                 [&writer](const VantagePoint&, TraceResult&& trace) {
+                   writer.append(trace);
                  });
-  writer.finish();
-  span.arg("traces", kept);
+  span.arg("traces", writer.finish().traces);
   return corpus::TraceStore(corpus::TraceCorpusReader::open(config_.spill.dir));
 }
 

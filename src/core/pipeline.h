@@ -41,14 +41,13 @@ struct PipelineConfig {
   std::uint64_t seed = 4242;
 
   // Out-of-core spill (docs/SCALE.md): when enabled, the initial campaign
-  // streams kept traces to a metro-sharded column corpus under `dir`
-  // instead of accumulating them in memory, and CFS folds the corpus via
-  // mmap. Reports are byte-identical to the in-memory engine at every
-  // shards/threads combination.
+  // streams kept traces to a column corpus under `dir` instead of
+  // accumulating them in memory, and CFS folds the corpus via mmap.
+  // Reports are byte-identical to the in-memory engine at every thread
+  // count.
   struct SpillConfig {
     bool enabled = false;
-    std::string dir;           // corpus directory (required when enabled)
-    std::uint32_t shards = 1;  // metro shards of the corpus
+    std::string dir;  // corpus directory (required when enabled)
   };
   SpillConfig spill;
 
@@ -70,10 +69,10 @@ class Pipeline {
       const std::vector<Asn>& target_ases, double vp_fraction = 0.5);
 
   // Spill-aware initial campaign: same VP sampling and serial pass, but
-  // honouring config.spill — with spill enabled each kept trace is written
-  // to the shard owning its executing VP's metro as the pass keeps it, and
-  // the corpus comes back as an mmap-backed TraceStore;
-  // without it this is exactly initial_campaign wrapped in a store.
+  // honouring config.spill — with spill enabled each kept trace is
+  // appended to the corpus as the pass keeps it, and the corpus comes back
+  // as an mmap-backed TraceStore; without it this is exactly
+  // initial_campaign wrapped in a store.
   [[nodiscard]] corpus::TraceStore initial_campaign_store(
       const std::vector<Asn>& target_ases, double vp_fraction = 0.5);
 

@@ -18,17 +18,16 @@ std::vector<std::vector<PeeringObservation>> TraceCache::classify(
   std::vector<std::vector<PeeringObservation>> out(indices.size());
   TraceSpan span("cfs.classify");
   span.arg("traces", indices.size());
-  // Each chunk owns its scratch and cursor, so spilled reads are race-free
-  // by construction, and chunk row ranges are disjoint (indices ascend), so
-  // the trailing page release only drops rows this chunk is done with.
+  // Each chunk owns its scratch, so spilled reads are race-free by
+  // construction, and chunk row ranges are disjoint (indices ascend), so the
+  // trailing page release only drops rows this chunk is done with.
   // Chunk boundaries are a pure function of (n, workers), so the chunk
   // spans describe the same work at any thread count.
   const auto run_chunk = [&](std::size_t begin, std::size_t end) {
     if (begin == end) return;
     TraceResult scratch;
-    corpus::TraceCorpusReader::Cursor cursor;
     for (std::size_t i = begin; i < end; ++i)
-      out[i] = classifier.classify(rows_.at(indices[i], scratch, &cursor));
+      out[i] = classifier.classify(rows_.at(indices[i], scratch));
     rows_.release_range(indices[begin], indices[end - 1] + 1);
   };
   if (pool_ != nullptr && indices.size() >= kParallelThreshold) {

@@ -73,10 +73,9 @@ class TraceCache {
   template <typename Fn>
   void scan(std::size_t begin, Fn&& fn) const {
     TraceResult scratch;
-    corpus::TraceCorpusReader::Cursor cursor;
     std::size_t released = begin;
     for (std::size_t i = begin; i < rows_.size(); ++i) {
-      fn(i, rows_.at(i, scratch, &cursor));
+      fn(i, rows_.at(i, scratch));
       if (i + 1 - released >= kReleaseWindow) {
         rows_.release_range(released, i + 1);
         released = i + 1;

@@ -17,11 +17,21 @@ namespace {
 constexpr const char* kManifestName = "manifest.json";
 constexpr const char* kManifestFormat = "cfs-trace-corpus";
 
-std::string shard_dir_name(std::uint32_t shard) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "shard-%04u", shard);
-  return buf;
-}
+struct ColumnSpec {
+  const char* name;
+  std::uint32_t width;
+};
+constexpr std::array<ColumnSpec, kColumnCount> kColumnSpecs = {{
+    {"vp.col", 4},
+    {"target.col", 4},
+    {"flags.col", 1},
+    {"timeouts.col", 4},
+    {"hop_off.col", 8},
+    {"hop_cnt.col", 4},
+    {"hop_addr.col", 4},
+    {"hop_rtt.col", 8},
+    {"hop_flags.col", 1},
+}};
 
 std::string join(const std::string& dir, const std::string& name) {
   return (fs::path(dir) / name).string();
@@ -30,173 +40,6 @@ std::string join(const std::string& dir, const std::string& name) {
 constexpr std::uint8_t kFlagReached = 1u << 0;
 constexpr std::uint8_t kHopResponded = 1u << 0;
 constexpr std::uint8_t kHopTimedOut = 1u << 1;
-
-std::unique_ptr<ColumnWriter> make_column(const std::string& dir,
-                                          const char* name,
-                                          std::uint32_t width) {
-  return std::make_unique<ColumnWriter>(join(dir, name), width);
-}
-
-void pack_index_record(unsigned char out[20], std::uint32_t vp,
-                       std::uint32_t target, std::uint32_t metro,
-                       std::uint64_t row) {
-  __builtin_memcpy(out + 0, &vp, 4);
-  __builtin_memcpy(out + 4, &target, 4);
-  __builtin_memcpy(out + 8, &metro, 4);
-  __builtin_memcpy(out + 12, &row, 8);
-}
-
-struct UnpackedIndexRecord {
-  std::uint32_t vp, target, metro;
-  std::uint64_t row;
-};
-
-UnpackedIndexRecord unpack_index_record(const unsigned char* in) {
-  UnpackedIndexRecord r;
-  __builtin_memcpy(&r.vp, in + 0, 4);
-  __builtin_memcpy(&r.target, in + 4, 4);
-  __builtin_memcpy(&r.metro, in + 8, 4);
-  __builtin_memcpy(&r.row, in + 12, 8);
-  return r;
-}
-
-}  // namespace
-
-std::string manifest_path(const std::string& dir) {
-  return join(dir, kManifestName);
-}
-
-TraceCorpusWriter::TraceCorpusWriter(std::string dir, std::uint32_t shards)
-    : dir_(std::move(dir)) {
-  if (shards == 0) shards = 1;
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  if (ec) throw CorpusError(dir_, 0, "cannot create directory: " + ec.message());
-  // A stale manifest from a previous corpus must not survive into a new
-  // write: remove it first so a crashed rewrite cannot present old
-  // metadata over new columns.
-  std::remove(manifest_path(dir_).c_str());
-  shards_.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    Shard shard;
-    shard.dir = shard_dir_name(s);
-    const std::string abs = join(dir_, shard.dir);
-    fs::create_directories(abs, ec);
-    if (ec)
-      throw CorpusError(abs, 0, "cannot create shard directory: " + ec.message());
-    shard.seq = make_column(abs, "seq.col", 8);
-    shard.vp = make_column(abs, "vp.col", 4);
-    shard.target = make_column(abs, "target.col", 4);
-    shard.metro = make_column(abs, "metro.col", 4);
-    shard.flags = make_column(abs, "flags.col", 1);
-    shard.timeouts = make_column(abs, "timeouts.col", 4);
-    shard.hop_off = make_column(abs, "hop_off.col", 8);
-    shard.hop_cnt = make_column(abs, "hop_cnt.col", 4);
-    shard.hop_addr = make_column(abs, "hop_addr.col", 4);
-    shard.hop_rtt = make_column(abs, "hop_rtt.col", 8);
-    shard.hop_flags = make_column(abs, "hop_flags.col", 1);
-    shards_.push_back(std::move(shard));
-  }
-}
-
-void TraceCorpusWriter::append(std::uint32_t shard_id, MetroId metro,
-                               const TraceResult& trace) {
-  Shard& shard = shards_.at(shard_id);
-  const std::uint64_t seq = next_seq_++;
-  shard.seq->put<std::uint64_t>(seq);
-  shard.vp->put<std::uint32_t>(trace.vp.value);
-  shard.target->put<std::uint32_t>(trace.target.value());
-  shard.metro->put<std::uint32_t>(metro.value);
-  const std::uint8_t flags = trace.reached_target ? kFlagReached : 0;
-  shard.flags->put<std::uint8_t>(flags);
-  shard.timeouts->put<std::uint32_t>(
-      static_cast<std::uint32_t>(trace.hops_timed_out));
-  shard.hop_off->put<std::uint64_t>(shard.hops);
-  shard.hop_cnt->put<std::uint32_t>(
-      static_cast<std::uint32_t>(trace.hops.size()));
-  for (const Hop& hop : trace.hops) {
-    shard.hop_addr->put<std::uint32_t>(hop.address.value());
-    shard.hop_rtt->put<double>(hop.rtt_ms);
-    std::uint8_t hf = 0;
-    if (hop.responded) hf |= kHopResponded;
-    if (hop.timed_out) hf |= kHopTimedOut;
-    shard.hop_flags->put<std::uint8_t>(hf);
-  }
-  shard.index.push_back({trace.vp.value, trace.target.value(), metro.value,
-                         shard.rows});
-  shard.hops += trace.hops.size();
-  ++shard.rows;
-}
-
-CorpusSummary TraceCorpusWriter::finish() {
-  if (finished_)
-    throw CorpusError(dir_, 0, "corpus writer finished twice");
-  CorpusSummary summary;
-  summary.shards = static_cast<std::uint32_t>(shards_.size());
-  for (Shard& shard : shards_) {
-    const std::string abs = join(dir_, shard.dir);
-    std::sort(shard.index.begin(), shard.index.end(),
-              [](const IndexRecord& a, const IndexRecord& b) {
-                if (a.vp != b.vp) return a.vp < b.vp;
-                if (a.target != b.target) return a.target < b.target;
-                if (a.metro != b.metro) return a.metro < b.metro;
-                return a.row < b.row;
-              });
-    ColumnWriter index(join(abs, "index.col"), ShardReader::kIndexRecordBytes);
-    unsigned char record[ShardReader::kIndexRecordBytes];
-    for (const IndexRecord& r : shard.index) {
-      pack_index_record(record, r.vp, r.target, r.metro, r.row);
-      index.append(record, sizeof record);
-    }
-    index.finish();
-    for (ColumnWriter* column :
-         {shard.seq.get(), shard.vp.get(), shard.target.get(),
-          shard.metro.get(), shard.flags.get(), shard.timeouts.get(),
-          shard.hop_off.get(), shard.hop_cnt.get(), shard.hop_addr.get(),
-          shard.hop_rtt.get(), shard.hop_flags.get()})
-      column->finish();
-    summary.shard_list.push_back({shard.dir, shard.rows, shard.hops});
-    summary.traces += shard.rows;
-    summary.hops += shard.hops;
-  }
-
-  // The manifest is the commit point: written only after every column is
-  // in place, itself via tmp + rename.
-  JsonValue::Object root;
-  root["format"] = JsonValue(kManifestFormat);
-  root["version"] = JsonValue(summary.version);
-  root["shards"] = JsonValue(summary.shards);
-  root["traces"] = JsonValue(summary.traces);
-  root["hops"] = JsonValue(summary.hops);
-  JsonValue::Array shard_list;
-  for (const ShardSummary& s : summary.shard_list) {
-    JsonValue::Object entry;
-    entry["dir"] = JsonValue(s.dir);
-    entry["traces"] = JsonValue(s.traces);
-    entry["hops"] = JsonValue(s.hops);
-    shard_list.emplace_back(std::move(entry));
-  }
-  root["shard_list"] = JsonValue(std::move(shard_list));
-
-  const std::string path = manifest_path(dir_);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw CorpusError(tmp, 0, "cannot write manifest");
-    out << JsonValue(std::move(root)).pretty() << "\n";
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw CorpusError(tmp, 0, "short write to manifest");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw CorpusError(path, 0, "cannot rename manifest into place");
-  }
-  finished_ = true;
-  return summary;
-}
 
 CorpusSummary read_manifest(const std::string& dir) {
   const std::string path = manifest_path(dir);
@@ -215,209 +58,105 @@ CorpusSummary read_manifest(const std::string& dir) {
     throw CorpusError(path, 0, std::string("manifest is not valid JSON: ") +
                                    e.what());
   }
-  if (!root.is_object() || root.find("format") == nullptr ||
-      root.at("format").as_string() != kManifestFormat) {
+  const JsonValue* format = root.is_object() ? root.find("format") : nullptr;
+  if (format == nullptr || !format->is_string() ||
+      format->as_string() != kManifestFormat) {
     throw CorpusError(path, 0, "manifest format is not cfs-trace-corpus");
   }
-  const std::uint64_t version = root.at("version").as_uint();
+  // Every count must be present and an exact non-negative integer: a
+  // string, a fraction or an out-of-range double is a damaged manifest,
+  // never a value to coerce.
+  const auto count = [&](const char* key) {
+    const JsonValue* value = root.find(key);
+    if (value == nullptr || !value->is_integer() || value->as_number() < 0) {
+      throw CorpusError(path, 0,
+                        std::string("manifest \"") + key +
+                            "\" is missing or not a non-negative integer");
+    }
+    return value->as_uint();
+  };
+  const std::uint64_t version = count("version");
   if (version != kColumnVersion) {
     throw CorpusError(path, 0,
                       "corpus version " + std::to_string(version) +
                           " (this build reads version " +
                           std::to_string(kColumnVersion) + ")");
   }
-  CorpusSummary summary;
-  summary.version = static_cast<std::uint32_t>(version);
-  summary.shards = static_cast<std::uint32_t>(root.at("shards").as_uint());
-  summary.traces = root.at("traces").as_uint();
-  summary.hops = root.at("hops").as_uint();
-  for (const JsonValue& entry : root.at("shard_list").as_array()) {
-    summary.shard_list.push_back({entry.at("dir").as_string(),
-                                  entry.at("traces").as_uint(),
-                                  entry.at("hops").as_uint()});
-  }
-  if (summary.shard_list.size() != summary.shards) {
-    throw CorpusError(path, 0, "manifest shard_list does not match shards");
-  }
-  return summary;
+  return {count("traces"), count("hops")};
 }
 
-ShardReader ShardReader::open(const std::string& dir, bool verify_payloads) {
-  ShardReader shard;
-  shard.dir_ = dir;
-  shard.seq_ = MappedColumn::open(join(dir, "seq.col"), 8, verify_payloads);
-  shard.vp_ = MappedColumn::open(join(dir, "vp.col"), 4, verify_payloads);
-  shard.target_ =
-      MappedColumn::open(join(dir, "target.col"), 4, verify_payloads);
-  shard.metro_ = MappedColumn::open(join(dir, "metro.col"), 4, verify_payloads);
-  shard.flags_ = MappedColumn::open(join(dir, "flags.col"), 1, verify_payloads);
-  shard.timeouts_ =
-      MappedColumn::open(join(dir, "timeouts.col"), 4, verify_payloads);
-  shard.hop_off_ =
-      MappedColumn::open(join(dir, "hop_off.col"), 8, verify_payloads);
-  shard.hop_cnt_ =
-      MappedColumn::open(join(dir, "hop_cnt.col"), 4, verify_payloads);
-  shard.hop_addr_ =
-      MappedColumn::open(join(dir, "hop_addr.col"), 4, verify_payloads);
-  shard.hop_rtt_ =
-      MappedColumn::open(join(dir, "hop_rtt.col"), 8, verify_payloads);
-  shard.hop_flags_ =
-      MappedColumn::open(join(dir, "hop_flags.col"), 1, verify_payloads);
-  shard.index_ = MappedColumn::open(join(dir, "index.col"),
-                                    kIndexRecordBytes, verify_payloads);
-  const std::uint64_t rows = shard.seq_.rows();
-  for (const MappedColumn* column :
-       {&shard.vp_, &shard.target_, &shard.metro_, &shard.flags_,
-        &shard.timeouts_, &shard.hop_off_, &shard.hop_cnt_}) {
-    if (column->rows() != rows) {
-      throw CorpusError(column->path(), 0,
-                        "row count " + std::to_string(column->rows()) +
-                            " disagrees with seq.col (" +
-                            std::to_string(rows) + ")");
-    }
-  }
-  if (shard.hop_rtt_.rows() != shard.hop_addr_.rows() ||
-      shard.hop_flags_.rows() != shard.hop_addr_.rows()) {
-    throw CorpusError(shard.hop_addr_.path(), 0,
-                      "hop column row counts disagree");
-  }
-  if (shard.index_.rows() != rows) {
-    throw CorpusError(shard.index_.path(), 0,
-                      "index rows " + std::to_string(shard.index_.rows()) +
-                          " disagree with seq.col (" + std::to_string(rows) +
-                          ")");
-  }
-  return shard;
+}  // namespace
+
+std::string manifest_path(const std::string& dir) {
+  return join(dir, kManifestName);
 }
 
-void ShardReader::materialize(std::uint64_t row, TraceResult& out) const {
-  const std::uint64_t off = hop_off_.at<std::uint64_t>(row);
-  const std::uint32_t cnt = hop_cnt_.at<std::uint32_t>(row);
-  if (off > hops() || cnt > hops() - off) {
-    throw CorpusError(hop_off_.path(), hop_off_.layout().offset_of(row),
-                      "hop range [" + std::to_string(off) + ", " +
-                          std::to_string(off + cnt) + ") exceeds " +
-                          std::to_string(hops()) + " hop rows");
-  }
-  out.vp = VantagePointId{vp_.at<std::uint32_t>(row)};
-  out.target = Ipv4(target_.at<std::uint32_t>(row));
-  out.reached_target = (flags_.at<std::uint8_t>(row) & kFlagReached) != 0;
-  out.hops_timed_out = timeouts_.at<std::uint32_t>(row);
-  out.hops.clear();
-  out.hops.reserve(cnt);
-  for (std::uint64_t h = off; h < off + cnt; ++h) {
-    Hop hop;
-    hop.address = Ipv4(hop_addr_.at<std::uint32_t>(h));
-    hop.rtt_ms = hop_rtt_.at<double>(h);
-    const std::uint8_t hf = hop_flags_.at<std::uint8_t>(h);
-    hop.responded = (hf & kHopResponded) != 0;
-    hop.timed_out = (hf & kHopTimedOut) != 0;
-    out.hops.push_back(hop);
+TraceCorpusWriter::TraceCorpusWriter(std::string dir) : dir_(std::move(dir)) {
+  std::error_code ec;
+  fs::create_directories(dir_, ec);
+  if (ec) throw CorpusError(dir_, 0, "cannot create directory: " + ec.message());
+  // A stale manifest from a previous corpus must not survive into a new
+  // write: remove it first so a crashed rewrite cannot present old
+  // metadata over new columns.
+  std::remove(manifest_path(dir_).c_str());
+  for (std::size_t c = 0; c < kColumnCount; ++c) {
+    columns_[c] = std::make_unique<ColumnWriter>(
+        join(dir_, kColumnSpecs[c].name), kColumnSpecs[c].width);
   }
 }
 
-std::vector<std::uint64_t> ShardReader::find(std::uint32_t vp,
-                                             std::uint32_t target) const {
-  // Binary search the sorted (vp, target, metro, row) records for the
-  // (vp, target) prefix.
-  const std::uint64_t n = index_.rows();
-  auto key_at = [&](std::uint64_t i) {
-    const UnpackedIndexRecord r = unpack_index_record(index_.raw(i));
-    return (static_cast<std::uint64_t>(r.vp) << 32) | r.target;
-  };
-  const std::uint64_t want = (static_cast<std::uint64_t>(vp) << 32) | target;
-  std::uint64_t lo = 0, hi = n;
-  while (lo < hi) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (key_at(mid) < want)
-      lo = mid + 1;
-    else
-      hi = mid;
+void TraceCorpusWriter::append(const TraceResult& trace) {
+  columns_[kVp]->put<std::uint32_t>(trace.vp.value);
+  columns_[kTarget]->put<std::uint32_t>(trace.target.value());
+  columns_[kFlags]->put<std::uint8_t>(trace.reached_target ? kFlagReached : 0);
+  columns_[kTimeouts]->put<std::uint32_t>(
+      static_cast<std::uint32_t>(trace.hops_timed_out));
+  columns_[kHopOff]->put<std::uint64_t>(hops_);
+  columns_[kHopCnt]->put<std::uint32_t>(
+      static_cast<std::uint32_t>(trace.hops.size()));
+  for (const Hop& hop : trace.hops) {
+    columns_[kHopAddr]->put<std::uint32_t>(hop.address.value());
+    columns_[kHopRtt]->put<double>(hop.rtt_ms);
+    std::uint8_t hf = 0;
+    if (hop.responded) hf |= kHopResponded;
+    if (hop.timed_out) hf |= kHopTimedOut;
+    columns_[kHopFlags]->put<std::uint8_t>(hf);
   }
-  std::vector<std::uint64_t> rows;
-  for (std::uint64_t i = lo; i < n && key_at(i) == want; ++i)
-    rows.push_back(unpack_index_record(index_.raw(i)).row);
-  return rows;
+  hops_ += trace.hops.size();
+  ++traces_;
 }
 
-void ShardReader::release_rows(std::uint64_t row_begin,
-                               std::uint64_t row_end) const {
-  if (row_begin >= row_end || row_begin >= traces()) return;
-  row_end = std::min(row_end, traces());
-  for (const MappedColumn* column :
-       {&seq_, &vp_, &target_, &metro_, &flags_, &timeouts_, &hop_off_,
-        &hop_cnt_})
-    column->release_rows(row_begin, row_end);
-  const std::uint64_t hop_begin = hop_off_.at<std::uint64_t>(row_begin);
-  const std::uint64_t hop_end =
-      row_end == traces()
-          ? hops()
-          : hop_off_.at<std::uint64_t>(row_end);
-  for (const MappedColumn* column : {&hop_addr_, &hop_rtt_, &hop_flags_})
-    column->release_rows(hop_begin, hop_end);
-}
+CorpusSummary TraceCorpusWriter::finish() {
+  if (finished_)
+    throw CorpusError(dir_, 0, "corpus writer finished twice");
+  for (const auto& column : columns_) column->finish();
 
-void ShardReader::verify() const {
-  for (const MappedColumn* column :
-       {&seq_, &vp_, &target_, &metro_, &flags_, &timeouts_, &hop_off_,
-        &hop_cnt_, &hop_addr_, &hop_rtt_, &hop_flags_, &index_})
-    column->verify_payload();
-  // Hop ranges must tile the hop columns exactly.
-  std::uint64_t expect_off = 0;
-  for (std::uint64_t row = 0; row < traces(); ++row) {
-    const std::uint64_t off = hop_off_.at<std::uint64_t>(row);
-    if (off != expect_off) {
-      throw CorpusError(hop_off_.path(), hop_off_.layout().offset_of(row),
-                        "hop ranges are not contiguous at row " +
-                            std::to_string(row));
-    }
-    expect_off = off + hop_cnt_.at<std::uint32_t>(row);
-  }
-  if (expect_off != hops()) {
-    throw CorpusError(hop_cnt_.path(), 0,
-                      "hop ranges cover " + std::to_string(expect_off) +
-                          " of " + std::to_string(hops()) + " hop rows");
-  }
-  // seq strictly increasing within the shard.
-  for (std::uint64_t row = 1; row < traces(); ++row) {
-    if (seq(row - 1) >= seq(row)) {
-      throw CorpusError(seq_.path(), seq_.layout().offset_of(row),
-                        "seq not strictly increasing at row " +
-                            std::to_string(row));
+  // The manifest is the commit point: written only after every column is
+  // in place, itself via tmp + rename.
+  JsonValue::Object root;
+  root["format"] = JsonValue(kManifestFormat);
+  root["version"] = JsonValue(kColumnVersion);
+  root["traces"] = JsonValue(traces_);
+  root["hops"] = JsonValue(hops_);
+
+  const std::string path = manifest_path(dir_);
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) throw CorpusError(tmp, 0, "cannot write manifest");
+    out << JsonValue(std::move(root)).pretty() << "\n";
+    out.flush();
+    if (!out) {
+      std::remove(tmp.c_str());
+      throw CorpusError(tmp, 0, "short write to manifest");
     }
   }
-  // Index: sorted, row-valid, and consistent with the columns.
-  std::vector<char> covered(traces(), 0);
-  std::uint64_t prev_key[4] = {0, 0, 0, 0};
-  for (std::uint64_t i = 0; i < index_.rows(); ++i) {
-    const UnpackedIndexRecord r = unpack_index_record(index_.raw(i));
-    if (r.row >= traces()) {
-      throw CorpusError(index_.path(), index_.layout().offset_of(i),
-                        "index row " + std::to_string(r.row) +
-                            " out of range");
-    }
-    const std::uint64_t key[4] = {r.vp, r.target, r.metro, r.row};
-    if (i > 0 && std::lexicographical_compare(key, key + 4, prev_key,
-                                              prev_key + 4)) {
-      throw CorpusError(index_.path(), index_.layout().offset_of(i),
-                        "index records not sorted at entry " +
-                            std::to_string(i));
-    }
-    std::copy(key, key + 4, prev_key);
-    if (vp_.at<std::uint32_t>(r.row) != r.vp ||
-        target_.at<std::uint32_t>(r.row) != r.target ||
-        metro_.at<std::uint32_t>(r.row) != r.metro) {
-      throw CorpusError(index_.path(), index_.layout().offset_of(i),
-                        "index entry " + std::to_string(i) +
-                            " disagrees with columns at row " +
-                            std::to_string(r.row));
-    }
-    if (covered[r.row]++ != 0) {
-      throw CorpusError(index_.path(), index_.layout().offset_of(i),
-                        "index covers row " + std::to_string(r.row) +
-                            " twice");
-    }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw CorpusError(path, 0, "cannot rename manifest into place");
   }
+  finished_ = true;
+  return {traces_, hops_};
 }
 
 std::shared_ptr<const TraceCorpusReader> TraceCorpusReader::open(
@@ -431,107 +170,103 @@ TraceCorpusReader TraceCorpusReader::open_impl(const std::string& dir,
   TraceCorpusReader reader;
   reader.dir_ = dir;
   reader.summary_ = read_manifest(dir);
-  std::uint64_t traces = 0;
-  std::uint64_t hops = 0;
-  for (const ShardSummary& s : reader.summary_.shard_list) {
-    ShardReader shard = ShardReader::open(join(dir, s.dir), verify_payloads);
-    if (shard.traces() != s.traces || shard.hops() != s.hops) {
-      throw CorpusError(manifest_path(dir), 0,
-                        "manifest row counts disagree with shard " + s.dir);
-    }
-    traces += shard.traces();
-    hops += shard.hops();
-    reader.shard_readers_.push_back(std::move(shard));
+  for (std::size_t c = 0; c < kColumnCount; ++c) {
+    reader.columns_[c] = MappedColumn::open(join(dir, kColumnSpecs[c].name),
+                                            kColumnSpecs[c].width,
+                                            verify_payloads);
   }
+  // Every trace column has one row per trace, every hop column one row
+  // per hop, and the manifest promises exactly those counts.
+  for (std::size_t c = 0; c < kColumnCount; ++c) {
+    const MappedColumn& column = reader.columns_[c];
+    const MappedColumn& first =
+        reader.columns_[c < kTraceColumns ? kVp : kHopAddr];
+    if (column.rows() != first.rows()) {
+      throw CorpusError(column.path(), 0,
+                        "row count " + std::to_string(column.rows()) +
+                            " disagrees with " + first.path() + " (" +
+                            std::to_string(first.rows()) + ")");
+    }
+  }
+  const std::uint64_t traces = reader.columns_[kVp].rows();
+  const std::uint64_t hops = reader.columns_[kHopAddr].rows();
   if (traces != reader.summary_.traces || hops != reader.summary_.hops) {
-    throw CorpusError(manifest_path(dir), 0,
-                      "manifest totals disagree with shard columns");
+    throw CorpusError(
+        manifest_path(dir), 0,
+        "manifest totals (" + std::to_string(reader.summary_.traces) +
+            " traces, " + std::to_string(reader.summary_.hops) +
+            " hops) disagree with the columns (" + std::to_string(traces) +
+            " traces, " + std::to_string(hops) + " hops)");
   }
   return reader;
 }
 
-TraceCorpusReader::Loc TraceCorpusReader::locate(std::uint64_t seq,
-                                                 Cursor* cursor) const {
-  const auto n_shards = static_cast<std::uint32_t>(shard_readers_.size());
-  if (cursor != nullptr) {
-    if (cursor->row.size() != n_shards) cursor->row.assign(n_shards, 0);
-    for (std::uint32_t s = 0; s < n_shards; ++s) {
-      const std::uint64_t row = cursor->row[s];
-      if (row < shard_readers_[s].traces() &&
-          shard_readers_[s].seq(row) == seq) {
-        cursor->row[s] = row + 1;
-        return {s, row};
-      }
-    }
+void TraceCorpusReader::materialize(std::uint64_t row, TraceResult& out) const {
+  const MappedColumn& hop_off = columns_[kHopOff];
+  const std::uint64_t off = hop_off.at<std::uint64_t>(row);
+  const std::uint32_t cnt = columns_[kHopCnt].at<std::uint32_t>(row);
+  const std::uint64_t hops = total_hops();
+  if (off > hops || cnt > hops - off) {
+    throw CorpusError(hop_off.path(), hop_off.layout().offset_of(row),
+                      "hop range [" + std::to_string(off) + ", " +
+                          std::to_string(off + cnt) + ") exceeds " +
+                          std::to_string(hops) + " hop rows");
   }
-  for (std::uint32_t s = 0; s < n_shards; ++s) {
-    const ShardReader& shard = shard_readers_[s];
-    std::uint64_t lo = 0, hi = shard.traces();
-    while (lo < hi) {
-      const std::uint64_t mid = lo + (hi - lo) / 2;
-      if (shard.seq(mid) < seq)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    if (lo < shard.traces() && shard.seq(lo) == seq) {
-      if (cursor != nullptr) cursor->row[s] = lo + 1;
-      return {s, lo};
-    }
+  out.vp = VantagePointId{columns_[kVp].at<std::uint32_t>(row)};
+  out.target = Ipv4(columns_[kTarget].at<std::uint32_t>(row));
+  out.reached_target =
+      (columns_[kFlags].at<std::uint8_t>(row) & kFlagReached) != 0;
+  out.hops_timed_out = columns_[kTimeouts].at<std::uint32_t>(row);
+  out.hops.clear();
+  out.hops.reserve(cnt);
+  for (std::uint64_t h = off; h < off + cnt; ++h) {
+    Hop hop;
+    hop.address = Ipv4(columns_[kHopAddr].at<std::uint32_t>(h));
+    hop.rtt_ms = columns_[kHopRtt].at<double>(h);
+    const std::uint8_t hf = columns_[kHopFlags].at<std::uint8_t>(h);
+    hop.responded = (hf & kHopResponded) != 0;
+    hop.timed_out = (hf & kHopTimedOut) != 0;
+    out.hops.push_back(hop);
   }
-  throw CorpusError(dir_, 0,
-                    "sequence number " + std::to_string(seq) +
-                        " is absent from every shard (corpus invariant "
-                        "violation)");
 }
 
-void TraceCorpusReader::materialize(std::uint64_t seq, TraceResult& out,
-                                    Cursor* cursor) const {
-  const Loc loc = locate(seq, cursor);
-  shard_readers_[loc.shard].materialize(loc.row, out);
-}
-
-void TraceCorpusReader::release_range(std::uint64_t seq_begin,
-                                      std::uint64_t seq_end) const {
-  if (seq_begin >= seq_end) return;
-  for (const ShardReader& shard : shard_readers_) {
-    // Rows with seq in [seq_begin, seq_end) form a contiguous row range
-    // per shard because per-shard seq is strictly increasing.
-    auto lower = [&](std::uint64_t want) {
-      std::uint64_t lo = 0, hi = shard.traces();
-      while (lo < hi) {
-        const std::uint64_t mid = lo + (hi - lo) / 2;
-        if (shard.seq(mid) < want)
-          lo = mid + 1;
-        else
-          hi = mid;
-      }
-      return lo;
-    };
-    shard.release_rows(lower(seq_begin), lower(seq_end));
+void TraceCorpusReader::release_range(std::uint64_t begin,
+                                      std::uint64_t end) const {
+  end = std::min(end, traces());
+  if (begin >= end) return;
+  const std::uint64_t hop_begin = columns_[kHopOff].at<std::uint64_t>(begin);
+  const std::uint64_t hop_end =
+      end == traces() ? total_hops() : columns_[kHopOff].at<std::uint64_t>(end);
+  for (std::size_t c = 0; c < kColumnCount; ++c) {
+    if (c < kTraceColumns)
+      columns_[c].release_rows(begin, end);
+    else
+      columns_[c].release_rows(hop_begin, hop_end);
   }
 }
 
 CorpusSummary TraceCorpusReader::verify(const std::string& dir) {
+  // Opening with payload verification re-hashes every column.
   const TraceCorpusReader reader = open_impl(dir, /*verify_payloads=*/true);
-  std::vector<char> seen(reader.summary_.traces, 0);
-  for (const ShardReader& shard : reader.shard_readers_) {
-    shard.verify();
-    for (std::uint64_t row = 0; row < shard.traces(); ++row) {
-      const std::uint64_t seq = shard.seq(row);
-      if (seq >= reader.summary_.traces) {
-        throw CorpusError(join(shard.dir(), "seq.col"), 0,
-                          "sequence number " + std::to_string(seq) +
-                              " exceeds the corpus trace count");
-      }
-      if (seen[seq]++ != 0) {
-        throw CorpusError(join(shard.dir(), "seq.col"), 0,
-                          "sequence number " + std::to_string(seq) +
-                              " appears in more than one shard");
-      }
+  // Hop ranges must tile the hop columns exactly.
+  const MappedColumn& hop_off = reader.columns_[kHopOff];
+  const MappedColumn& hop_cnt = reader.columns_[kHopCnt];
+  std::uint64_t expect_off = 0;
+  for (std::uint64_t row = 0; row < reader.traces(); ++row) {
+    const std::uint64_t off = hop_off.at<std::uint64_t>(row);
+    if (off != expect_off) {
+      throw CorpusError(hop_off.path(), hop_off.layout().offset_of(row),
+                        "hop ranges are not contiguous at row " +
+                            std::to_string(row));
     }
+    expect_off = off + hop_cnt.at<std::uint32_t>(row);
   }
-  // Every value seen exactly once => seqs partition [0, traces).
+  if (expect_off != reader.total_hops()) {
+    throw CorpusError(hop_cnt.path(), 0,
+                      "hop ranges cover " + std::to_string(expect_off) +
+                          " of " + std::to_string(reader.total_hops()) +
+                          " hop rows");
+  }
   return reader.summary_;
 }
 

@@ -1,196 +1,111 @@
-// Out-of-core trace corpus: a directory of metro-sharded column files.
+// Out-of-core trace corpus: one directory of column files.
 //
 // Layout (docs/SCALE.md):
 //
-//   <dir>/manifest.json            corpus-level commit point, written last
-//   <dir>/shard-NNNN/seq.col       u64  global ingest sequence number
-//   <dir>/shard-NNNN/vp.col        u32  vantage-point id
-//   <dir>/shard-NNNN/target.col    u32  probe target address
-//   <dir>/shard-NNNN/metro.col     u32  metro of the executing VP
-//   <dir>/shard-NNNN/flags.col     u8   bit0 = reached_target
-//   <dir>/shard-NNNN/timeouts.col  u32  hops_timed_out
-//   <dir>/shard-NNNN/hop_off.col   u64  first row in the hop columns
-//   <dir>/shard-NNNN/hop_cnt.col   u32  hop count
-//   <dir>/shard-NNNN/hop_addr.col  u32  per-hop responding address
-//   <dir>/shard-NNNN/hop_rtt.col   f64  per-hop RTT (ms)
-//   <dir>/shard-NNNN/hop_flags.col u8   bit0 = responded, bit1 = timed_out
-//   <dir>/shard-NNNN/index.col     20B  (vp, target, metro, row), sorted
+//   <dir>/manifest.json   corpus-level commit point, written last
+//   <dir>/vp.col          u32  vantage-point id
+//   <dir>/target.col      u32  probe target address
+//   <dir>/flags.col       u8   bit0 = reached_target
+//   <dir>/timeouts.col    u32  hops_timed_out
+//   <dir>/hop_off.col     u64  first row in the hop columns
+//   <dir>/hop_cnt.col     u32  hop count
+//   <dir>/hop_addr.col    u32  per-hop responding address
+//   <dir>/hop_rtt.col     f64  per-hop RTT (ms)
+//   <dir>/hop_flags.col   u8   bit0 = responded, bit1 = timed_out
 //
-// The writer streams every trace the campaign keeps straight to its
-// owning shard's columns (nothing is buffered beyond the per-shard index
-// records), and `manifest.json` — written atomically after every column
-// has renamed into place — is the corpus's commit point: a corpus
-// directory left behind by a killed run has no manifest and is rejected
-// as a unit, and stray `*.tmp` column litter is never opened.
-//
-// The `seq` column carries the position of each trace in the campaign's
-// serial keep-order. Per shard it is strictly increasing, and across
-// shards the values partition [0, traces): replaying rows in global seq
-// order therefore reconstructs the exact in-memory corpus regardless of
-// how many shards the campaign wrote — this is the ordered merge behind
-// the byte-identical-report contract (docs/SCALE.md "Determinism").
+// Row r of the trace columns is the r-th trace of the campaign's serial
+// keep-order, so reading rows 0..traces-1 reconstructs the exact in-memory
+// corpus — the basis of the byte-identical-report contract (docs/SCALE.md
+// "The contract"). The writer streams every kept trace straight to the
+// columns through fixed per-column buffers, and `manifest.json` — written
+// atomically after every column has renamed into place — is the corpus's
+// commit point: a corpus directory left behind by a killed run has no
+// manifest and is rejected as a unit, and stray `*.tmp` column litter is
+// never opened.
 #pragma once
 
+#include <array>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "data/corpus/format.h"
 #include "traceroute/engine.h"
 
 namespace cfs::corpus {
 
-struct ShardSummary {
-  std::string dir;  // relative to the corpus directory
-  std::uint64_t traces = 0;
-  std::uint64_t hops = 0;
-};
-
 struct CorpusSummary {
-  std::uint32_t version = kColumnVersion;
-  std::uint32_t shards = 0;
   std::uint64_t traces = 0;
   std::uint64_t hops = 0;
-  std::vector<ShardSummary> shard_list;
 };
 
-// Streams kept traces into per-shard column files. Not thread-safe: the
+// The corpus's columns, in layout order: the first kTraceColumns hold one
+// row per trace, the rest one row per hop.
+enum Column : std::size_t {
+  kVp, kTarget, kFlags, kTimeouts, kHopOff, kHopCnt,
+  kHopAddr, kHopRtt, kHopFlags, kColumnCount
+};
+inline constexpr std::size_t kTraceColumns = kHopAddr;
+
+// Streams kept traces into the column files. Not thread-safe: the
 // campaign's serial keep-order pass is the only writer.
 class TraceCorpusWriter {
  public:
-  TraceCorpusWriter(std::string dir, std::uint32_t shards);
+  explicit TraceCorpusWriter(std::string dir);
 
-  // Appends one trace to `shard`, assigning it the next global sequence
-  // number. `metro` is the executing VP's metro (the sharding key).
-  void append(std::uint32_t shard, MetroId metro, const TraceResult& trace);
+  // Appends one trace as the next row.
+  void append(const TraceResult& trace);
 
-  [[nodiscard]] std::uint64_t traces_written() const { return next_seq_; }
-
-  // Sorts and writes each shard's index, finishes every column (tmp ->
-  // rename), then commits the corpus by writing manifest.json.
+  // Finishes every column (tmp -> rename), then commits the corpus by
+  // writing manifest.json.
   CorpusSummary finish();
 
  private:
-  struct IndexRecord {
-    std::uint32_t vp = 0;
-    std::uint32_t target = 0;
-    std::uint32_t metro = 0;
-    std::uint64_t row = 0;
-  };
-  struct Shard {
-    std::string dir;
-    std::unique_ptr<ColumnWriter> seq, vp, target, metro, flags, timeouts,
-        hop_off, hop_cnt, hop_addr, hop_rtt, hop_flags;
-    std::uint64_t rows = 0;
-    std::uint64_t hops = 0;
-    std::vector<IndexRecord> index;
-  };
-
   std::string dir_;
-  std::vector<Shard> shards_;
-  std::uint64_t next_seq_ = 0;
+  std::array<std::unique_ptr<ColumnWriter>, kColumnCount> columns_;
+  std::uint64_t traces_ = 0;
+  std::uint64_t hops_ = 0;
   bool finished_ = false;
 };
 
-// Read-only mmap view of one shard's columns.
-class ShardReader {
- public:
-  static constexpr std::uint32_t kIndexRecordBytes = 20;
-
-  [[nodiscard]] std::uint64_t traces() const { return seq_.rows(); }
-  [[nodiscard]] std::uint64_t hops() const { return hop_addr_.rows(); }
-  [[nodiscard]] const std::string& dir() const { return dir_; }
-
-  [[nodiscard]] std::uint64_t seq(std::uint64_t row) const {
-    return seq_.at<std::uint64_t>(row);
-  }
-  [[nodiscard]] std::uint32_t metro(std::uint64_t row) const {
-    return metro_.at<std::uint32_t>(row);
-  }
-
-  // Rebuilds the full TraceResult for one row into `out` (reusing its
-  // hop capacity). Bounds-checks the hop range against the hop columns.
-  void materialize(std::uint64_t row, TraceResult& out) const;
-
-  // Index lookup: rows whose (vp, target) match, in row order.
-  [[nodiscard]] std::vector<std::uint64_t> find(std::uint32_t vp,
-                                                std::uint32_t target) const;
-
-  // Drops resident pages for trace rows [row_begin, row_end) across the
-  // fixed and hop columns.
-  void release_rows(std::uint64_t row_begin, std::uint64_t row_end) const;
-
-  // Deep checks: payload checksums plus structural invariants (hop-range
-  // contiguity, index sortedness and row validity). Throws CorpusError.
-  void verify() const;
-
- private:
-  friend class TraceCorpusReader;
-
-  std::string dir_;
-  MappedColumn seq_, vp_, target_, metro_, flags_, timeouts_, hop_off_,
-      hop_cnt_, hop_addr_, hop_rtt_, hop_flags_;
-  MappedColumn index_;
-
-  static ShardReader open(const std::string& dir, bool verify_payloads);
-};
-
-// Whole-corpus reader: manifest + every shard, plus the seq -> (shard,
-// row) ordered-merge lookup that global replay and the CFS trace store
-// are built on. All methods are const and safe to call concurrently.
+// Read-only mmap view of a committed corpus. All methods are const and
+// safe to call concurrently.
 class TraceCorpusReader {
  public:
-  struct Loc {
-    std::uint32_t shard = 0;
-    std::uint64_t row = 0;
-  };
-  // Optional per-caller sequential-read accelerator for locate(): holds
-  // each shard's next candidate row so an ascending scan is O(shards)
-  // per step instead of a binary search. Never shared across threads.
-  struct Cursor {
-    std::vector<std::uint64_t> row;
-  };
-
   static std::shared_ptr<const TraceCorpusReader> open(
       const std::string& dir, bool verify_payloads = false);
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
   [[nodiscard]] std::uint64_t traces() const { return summary_.traces; }
   [[nodiscard]] std::uint64_t total_hops() const { return summary_.hops; }
-  [[nodiscard]] std::uint32_t shards() const {
-    return static_cast<std::uint32_t>(shard_readers_.size());
-  }
-  [[nodiscard]] const ShardReader& shard(std::uint32_t i) const {
-    return shard_readers_[i];
-  }
   [[nodiscard]] const CorpusSummary& summary() const { return summary_; }
+  [[nodiscard]] std::span<const MappedColumn> columns() const {
+    return columns_;
+  }
 
-  // Maps a global sequence number to its shard row. Throws CorpusError
-  // if `seq` is absent (a corpus invariant violation).
-  [[nodiscard]] Loc locate(std::uint64_t seq, Cursor* cursor = nullptr) const;
-  void materialize(std::uint64_t seq, TraceResult& out,
-                   Cursor* cursor = nullptr) const;
+  // Rebuilds the full TraceResult for one row into `out` (reusing its
+  // hop capacity). Bounds-checks the hop range against the hop columns.
+  void materialize(std::uint64_t row, TraceResult& out) const;
 
-  // Drops resident pages for all rows with seq in [seq_begin, seq_end).
-  void release_range(std::uint64_t seq_begin, std::uint64_t seq_end) const;
+  // Drops resident pages for trace rows [begin, end) across the trace
+  // and hop columns.
+  void release_range(std::uint64_t begin, std::uint64_t end) const;
 
   // Deep verification of an on-disk corpus: manifest consistency, column
-  // checksums, per-shard invariants, and the global seq partition.
-  // Returns the verified summary; throws CorpusError on any defect.
+  // checksums and hop-range tiling. Returns the verified summary; throws
+  // CorpusError on any defect.
   static CorpusSummary verify(const std::string& dir);
 
  private:
   std::string dir_;
   CorpusSummary summary_;
-  std::vector<ShardReader> shard_readers_;
+  std::array<MappedColumn, kColumnCount> columns_;
 
   static TraceCorpusReader open_impl(const std::string& dir,
                                      bool verify_payloads);
 };
 
-// Manifest (de)serialization, exposed for the robustness tests.
+// Path of a corpus directory's manifest, exposed for the robustness tests.
 std::string manifest_path(const std::string& dir);
-CorpusSummary read_manifest(const std::string& dir);
 
 }  // namespace cfs::corpus

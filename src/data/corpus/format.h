@@ -34,7 +34,9 @@ static_assert(std::endian::native == std::endian::little,
 
 // "CFSCOL1\0" read as a little-endian u64.
 inline constexpr std::uint64_t kColumnMagic = 0x00314c4f43534643ULL;
-inline constexpr std::uint32_t kColumnVersion = 1;
+// Bumped with every change to the corpus layout, so a corpus written by
+// an older build is rejected with a version error rather than misread.
+inline constexpr std::uint32_t kColumnVersion = 2;
 inline constexpr std::size_t kFooterBytes = 40;
 
 // Structured corpus-format failure: which file, at which byte offset,

@@ -2,13 +2,13 @@
 // in-memory (the historical representation) or backed by an on-disk
 // column corpus plus the follow-up tail.
 //
-// Rows are addressed by their global position: spilled corpora use the
-// seq column (position == sequence number), and follow-up traces appended
-// during the CFS iterations occupy positions past the spilled base. An
-// in-memory store hands out references to its own vector — the hot path
-// pays nothing for the abstraction — while a spilled store materializes
-// the requested row into caller-owned scratch, so concurrent readers
-// (classification chunks) stay data-race-free by construction.
+// Rows are addressed by their global position: a spilled corpus row is
+// its position in the campaign's keep-order, and follow-up traces
+// appended during the CFS iterations occupy positions past the spilled
+// base. An in-memory store hands out references to its own vector — the
+// hot path pays nothing for the abstraction — while a spilled store
+// materializes the requested row into caller-owned scratch, so concurrent
+// readers (classification chunks) stay data-race-free by construction.
 //
 // A spilled store additionally pushes its *consumed* follow-up tail out
 // of core (TailSpill): once CFS has classified a batch of follow-ups,
@@ -69,12 +69,10 @@ class TraceStore {
 
   // Row access. In-memory rows (and the not-yet-spilled tail) come back
   // by reference; spilled base rows and spilled tail rows are materialized
-  // into `scratch`. The optional cursor accelerates ascending scans over a
-  // spilled base.
-  const TraceResult& at(std::size_t i, TraceResult& scratch,
-                        TraceCorpusReader::Cursor* cursor = nullptr) const {
+  // into `scratch`.
+  const TraceResult& at(std::size_t i, TraceResult& scratch) const {
     if (i < base_rows_) {
-      reader_->materialize(i, scratch, cursor);
+      reader_->materialize(i, scratch);
       return scratch;
     }
     const std::size_t j = i - base_rows_;

@@ -501,66 +501,58 @@ std::optional<OracleFailure> check_stream_prefix(const Scenario& s) {
 // --- oracle: out-of-core spill equivalence ---
 //
 // The spill path (docs/SCALE.md) must be observationally invisible: a
-// campaign streamed to a metro-sharded on-disk corpus and folded through
-// CFS via mmap has to produce the exact report of the in-memory engine,
-// at every shard count and thread count, and the corpus it leaves behind
-// must pass deep verification. Shards and threads are crossed so the
-// sharded speculation windows, the ordered merge, and the classify-time
-// page releases are all covered by one contract.
+// campaign streamed to an on-disk column corpus and folded through CFS via
+// mmap has to produce the exact report of the in-memory engine at every
+// thread count, and the corpus it leaves behind must pass deep
+// verification. Threads are varied so the pooled speculation windows and
+// the classify-time page releases are covered by the same contract.
 std::optional<OracleFailure> check_corpus_spill(const Scenario& s) {
   const char* name = "corpus_spill";
   const CfsReport reference = run_arm(s, 1, true);
   const std::string ref_bytes = equivalence_json(reference).pretty();
   const JsonValue ref_counters = counters_json(reference.metrics);
 
-  for (const std::uint32_t shards : {1u, 3u}) {
-    for (const int threads : {1, 4}) {
-      const std::string dir = "/tmp/cfs_fuzz_spill_" +
-                              std::to_string(::getpid()) + "_" +
-                              std::to_string(s.seed) + "_" +
-                              std::to_string(shards) + "x" +
-                              std::to_string(threads);
-      std::filesystem::remove_all(dir);
-      const std::string arm = "shards " + std::to_string(shards) +
-                              " threads " + std::to_string(threads);
+  for (const int threads : {1, 4}) {
+    const std::string dir = "/tmp/cfs_fuzz_spill_" +
+                            std::to_string(::getpid()) + "_" +
+                            std::to_string(s.seed) + "_" +
+                            std::to_string(threads);
+    std::filesystem::remove_all(dir);
+    const std::string arm = "threads " + std::to_string(threads);
 
-      PipelineConfig config = s.pipeline_config();
-      config.threads = threads;
-      config.spill.enabled = true;
-      config.spill.dir = dir;
-      config.spill.shards = shards;
-      Pipeline pipeline(config);
-      auto store = pipeline.initial_campaign_store(
-          pipeline.default_targets(s.content_targets, s.transit_targets),
-          s.vp_fraction);
-      // The corpus left on disk must survive deep verification before the
-      // report comparison even starts.
-      try {
-        (void)corpus::TraceCorpusReader::verify(dir);
-      } catch (const corpus::CorpusError& error) {
-        std::filesystem::remove_all(dir);
-        return fail(name, arm + ": spilled corpus failed verification: " +
-                              error.what());
-      }
-      const CfsReport spilled = pipeline.run_cfs(std::move(store));
+    PipelineConfig config = s.pipeline_config();
+    config.threads = threads;
+    config.spill.enabled = true;
+    config.spill.dir = dir;
+    Pipeline pipeline(config);
+    auto store = pipeline.initial_campaign_store(
+        pipeline.default_targets(s.content_targets, s.transit_targets),
+        s.vp_fraction);
+    // The corpus left on disk must survive deep verification before the
+    // report comparison even starts.
+    try {
+      (void)corpus::TraceCorpusReader::verify(dir);
+    } catch (const corpus::CorpusError& error) {
       std::filesystem::remove_all(dir);
-
-      const JsonValue spilled_json = equivalence_json(spilled);
-      if (spilled_json.pretty() != ref_bytes) {
-        const JsonDiff diff =
-            diff_json(parse_json(ref_bytes), spilled_json);
-        return fail(name, arm + ": " +
-                              diff_message("reports (in-memory vs spill)",
-                                           diff));
-      }
-      const JsonDiff counter_diff =
-          diff_json(ref_counters, counters_json(spilled.metrics));
-      if (!counter_diff.empty())
-        return fail(name,
-                    arm + ": " + diff_message(
-                                     "metrics counters (in-memory vs spill)",
-                                     counter_diff));
+      return fail(name, arm + ": spilled corpus failed verification: " +
+                            error.what());
     }
+    const CfsReport spilled = pipeline.run_cfs(std::move(store));
+    std::filesystem::remove_all(dir);
+
+    const JsonValue spilled_json = equivalence_json(spilled);
+    if (spilled_json.pretty() != ref_bytes) {
+      const JsonDiff diff = diff_json(parse_json(ref_bytes), spilled_json);
+      return fail(name, arm + ": " +
+                            diff_message("reports (in-memory vs spill)", diff));
+    }
+    const JsonDiff counter_diff =
+        diff_json(ref_counters, counters_json(spilled.metrics));
+    if (!counter_diff.empty())
+      return fail(name,
+                  arm + ": " + diff_message(
+                                   "metrics counters (in-memory vs spill)",
+                                   counter_diff));
   }
   return std::nullopt;
 }
@@ -604,9 +596,9 @@ const std::vector<Oracle>& all_oracles() {
        "conflict-free pinned interfaces stay pinned when traces are added",
        check_pinning},
       {"corpus_spill",
-       "campaign spilled to a sharded on-disk corpus + out-of-core CFS "
-       "matches the in-memory report byte-for-byte at shards {1,3} x "
-       "threads {1,4}, and the corpus passes deep verification",
+       "campaign spilled to an on-disk corpus + out-of-core CFS matches "
+       "the in-memory report byte-for-byte at threads {1,4}, and the "
+       "corpus passes deep verification",
        check_corpus_spill},
       {"serve_transport",
        "a live daemon under seeded socket chaos answers every non-shed "

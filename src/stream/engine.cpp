@@ -6,6 +6,7 @@
 
 #include "core/fold.h"
 #include "io/export.h"
+#include "util/trace.h"
 
 namespace cfs {
 
@@ -71,15 +72,25 @@ StreamSnapshot StreamEngine::fold_epoch(std::span<const StreamEvent> events) {
   }
 
   // ---- 4. border evidence: each trace fed exactly once, in order ----
+  TraceSpan ingest_span("border.ingest");
+  ingest_span.arg("traces", cache_.size() - border_upto_);
   cache_.scan(border_upto_, [this](std::size_t, const TraceResult& trace) {
     border_.ingest(trace);
   });
   border_upto_ = cache_.size();
+  ingest_span.stop();
 
   // ---- 5. fresh corrected map (never accumulated across epochs) ----
+  TraceSpan corrections_span("border.corrections");
   InterfaceAsnMap epoch_map(ip2asn_);
   epoch_map.apply_alias_correction(aliases_);
-  epoch_map.apply_border_corrections(border_.corrections());
+  {
+    // Scoped: the mapper's table is freed before steps 6-8 allocate.
+    const auto corrections = border_.corrections();
+    corrections_span.arg("corrections", corrections.size());
+    epoch_map.apply_border_corrections(corrections);
+  }
+  corrections_span.stop();
 
   // ---- 6. re-classify by correction-table diff, then the new traces ----
   const std::unordered_map<Ipv4, Asn>& cur = epoch_map.corrected_map();

@@ -74,9 +74,11 @@ class MeasurementCampaign {
   std::vector<TraceResult> run(std::span<const VantagePoint* const> vps,
                                const std::vector<Ipv4>& targets);
 
-  // Single measurement convenience (advances the clock minimally). A probe
-  // the fault plane kills returns an empty trace; there is no failover
-  // pool on this path.
+  // Single measurement convenience (advances the clock minimally). A dead
+  // or unavailable VP fails over through the pool of the last faulted
+  // run() — so CFS follow-ups can fail over to a VP of the initial
+  // campaign in the same metro — and before any such run() the probe is
+  // abandoned. A probe with no usable VP returns an empty trace.
   TraceResult probe(const VantagePoint& vp, Ipv4 target);
 
   [[nodiscard]] double virtual_elapsed_s() const { return clock_s_; }

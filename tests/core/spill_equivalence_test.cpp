@@ -2,17 +2,13 @@
 //
 // The in-memory engine is the reference implementation: the initial
 // campaign accumulates traces in a vector and CFS folds them directly.
-// Spill mode streams the same campaign to a metro-sharded column corpus
-// on disk and folds it back through mmap — and must reproduce the
-// reference byte for byte: same exported report JSON (minus the
-// wall-clock metrics subtree), same CfsMetrics counters, at every
-// shards × threads combination. The harness also pins the ShardPlan
-// ownership algebra (a pure function of topology and shard count) and
-// the replay contract: a saved corpus reloads deterministically, and a
-// re-pack at a different shard count replays to the identical report.
+// Spill mode streams the same campaign to a column corpus on disk and
+// folds it back through mmap — and must reproduce the reference byte for
+// byte: same exported report JSON (minus the wall-clock metrics subtree),
+// same CfsMetrics counters, at every thread count. The harness also pins
+// the replay contract: a saved corpus reloads deterministically.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -22,7 +18,6 @@
 #include "core/pipeline.h"
 #include "data/corpus/corpus.h"
 #include "io/export.h"
-#include "traceroute/shard.h"
 
 namespace cfs {
 namespace {
@@ -45,15 +40,14 @@ std::string strip_metrics(const CfsReport& report) {
 }
 
 // One full pipeline run. `spill_dir` empty = in-memory reference;
-// otherwise the campaign spills to that corpus directory with `shards`
-// shards and CFS folds the mmap-backed store.
+// otherwise the campaign spills to that corpus directory and CFS folds
+// the mmap-backed store.
 RunResult run_pipeline(PipelineConfig config, int threads,
-                       const std::string& spill_dir, std::uint32_t shards) {
+                       const std::string& spill_dir) {
   config.threads = threads;
   if (!spill_dir.empty()) {
     config.spill.enabled = true;
     config.spill.dir = spill_dir;
-    config.spill.shards = shards;
   }
   Pipeline pipeline(config);
   corpus::TraceStore traces =
@@ -79,22 +73,18 @@ PipelineConfig base_config(std::uint64_t seed) {
 }
 
 void expect_spill_matches_memory(const PipelineConfig& config) {
-  const RunResult reference = run_pipeline(config, 1, "", 1);
-  for (const std::uint32_t shards : {1u, 3u}) {
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " threads=" + std::to_string(threads));
-      const std::string dir = temp_corpus_dir("matrix");
-      const RunResult spilled = run_pipeline(config, threads, dir, shards);
-      EXPECT_EQ(spilled.json_sans_metrics, reference.json_sans_metrics);
-      expect_counters_identical(spilled.report.metrics,
-                                reference.report.metrics);
-      // The on-disk corpus itself passes deep verification.
-      const corpus::CorpusSummary summary = corpus::TraceCorpusReader::verify(dir);
-      EXPECT_EQ(summary.shards, shards);
-      EXPECT_GT(summary.traces, 0u);
-      std::filesystem::remove_all(dir);
-    }
+  const RunResult reference = run_pipeline(config, 1, "");
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string dir = temp_corpus_dir("matrix");
+    const RunResult spilled = run_pipeline(config, threads, dir);
+    EXPECT_EQ(spilled.json_sans_metrics, reference.json_sans_metrics);
+    expect_counters_identical(spilled.report.metrics,
+                              reference.report.metrics);
+    // The on-disk corpus itself passes deep verification.
+    const corpus::CorpusSummary summary = corpus::TraceCorpusReader::verify(dir);
+    EXPECT_GT(summary.traces, 0u);
+    std::filesystem::remove_all(dir);
   }
 }
 
@@ -108,7 +98,7 @@ TEST(ShardSpillEquivalence, SeedBByteIdenticalAcrossShardsAndThreads) {
 
 TEST(ShardSpillEquivalence, HeavyFaultPlanByteIdenticalUnderSpill) {
   // The fault paths (retries, failovers, circuit breakers) all live in
-  // the serial pass, which sharding must leave untouched.
+  // the serial pass, which spilling must leave untouched.
   PipelineConfig config = base_config(7);
   config.faults.lg_outage_fraction = 0.5;
   config.faults.vp_churn_fraction = 0.2;
@@ -126,7 +116,7 @@ TEST(ShardSpillEquivalence, ReplayIsDeterministic) {
   // the documented contract (docs/SCALE.md).
   const PipelineConfig config = base_config(31);
   const std::string dir = temp_corpus_dir("replay");
-  (void)run_pipeline(config, 2, dir, 3);  // writes the corpus
+  (void)run_pipeline(config, 2, dir);  // writes the corpus
 
   std::vector<std::string> replays;
   for (int i = 0; i < 2; ++i) {
@@ -138,84 +128,17 @@ TEST(ShardSpillEquivalence, ReplayIsDeterministic) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ShardSpillEquivalence, ReplayIsShardCountInvariant) {
-  // The same campaign packed at different shard counts replays to the
-  // identical report: global seq order makes the shard layout invisible
-  // to CFS.
-  const PipelineConfig config = base_config(58);
-  std::vector<std::string> reports;
-  for (const std::uint32_t shards : {1u, 4u}) {
-    const std::string dir = temp_corpus_dir("invariant");
-    (void)run_pipeline(config, 1, dir, shards);
-    Pipeline pipeline(config);
-    reports.push_back(strip_metrics(pipeline.run_cfs(pipeline.load_corpus(dir))));
-    std::filesystem::remove_all(dir);
-  }
-  EXPECT_EQ(reports[0], reports[1]);
-}
-
 TEST(ShardSpillEquivalence, SpillShardCountsSumToCampaignTotal) {
+  // Every kept trace is one row of every trace column, and the manifest
+  // total agrees with the campaign's own count.
   const PipelineConfig config = base_config(12);
   const std::string dir = temp_corpus_dir("totals");
-  const RunResult spilled = run_pipeline(config, 1, dir, 3);
+  const RunResult spilled = run_pipeline(config, 1, dir);
   const auto reader = corpus::TraceCorpusReader::open(dir);
-  std::uint64_t sum = 0;
-  for (std::uint32_t s = 0; s < reader->shards(); ++s)
-    sum += reader->shard(s).traces();
-  EXPECT_EQ(sum, reader->traces());
+  for (std::size_t c = 0; c < corpus::kTraceColumns; ++c)
+    EXPECT_EQ(reader->columns()[c].rows(), reader->traces()) << c;
   EXPECT_EQ(reader->traces(), spilled.report.metrics.initial_traces);
   std::filesystem::remove_all(dir);
-}
-
-TEST(ShardPlanTest, MetrosPartitionExactlyOnceAcrossShards) {
-  PipelineConfig config = base_config(3);
-  Pipeline pipeline(config);
-  const Topology& topo = pipeline.topology();
-  for (const std::uint32_t shards : {1u, 2u, 3u, 7u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const ShardPlan plan = ShardPlan::build(topo, shards);
-    EXPECT_EQ(plan.shards(), shards);
-    // Every metro is owned by exactly one shard: shard_of() names an
-    // in-range owner for each, and the per-shard counts add up.
-    std::vector<std::size_t> owned(shards, 0);
-    for (const Metro& metro : topo.metros()) {
-      const std::uint32_t s = plan.shard_of(metro.id);
-      ASSERT_LT(s, shards) << "metro " << metro.id.value;
-      ++owned[s];
-    }
-    std::size_t owned_total = 0;
-    for (const std::size_t n : owned) owned_total += n;
-    EXPECT_EQ(owned_total, topo.metros().size());
-  }
-}
-
-TEST(ShardPlanTest, PlanIsAPureFunctionOfTopologyAndShardCount) {
-  PipelineConfig config = base_config(3);
-  Pipeline a(config);
-  Pipeline b(config);
-  const ShardPlan plan_a = ShardPlan::build(a.topology(), 3);
-  const ShardPlan plan_b = ShardPlan::build(b.topology(), 3);
-  for (const auto& metro : a.topology().metros())
-    EXPECT_EQ(plan_a.shard_of(metro.id), plan_b.shard_of(metro.id));
-}
-
-TEST(ShardPlanTest, RoundRobinDealBalancesWithinOne) {
-  PipelineConfig config = base_config(5);
-  Pipeline pipeline(config);
-  const ShardPlan plan = ShardPlan::build(pipeline.topology(), 3);
-  std::vector<std::size_t> owned(3, 0);
-  for (const Metro& metro : pipeline.topology().metros())
-    ++owned[plan.shard_of(metro.id)];
-  const auto [lo, hi] = std::minmax_element(owned.begin(), owned.end());
-  EXPECT_LE(*hi - *lo, 1u);
-}
-
-TEST(ShardPlanTest, UnknownMetroFallsBackToModulo) {
-  PipelineConfig config = base_config(5);
-  Pipeline pipeline(config);
-  const ShardPlan plan = ShardPlan::build(pipeline.topology(), 4);
-  // An id far outside the topology still gets a total, stable owner.
-  EXPECT_EQ(plan.shard_of(MetroId(1'000'003)), 1'000'003u % 4u);
 }
 
 }  // namespace

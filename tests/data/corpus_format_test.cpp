@@ -1,7 +1,7 @@
 // Property tests for the on-disk column corpus (docs/SCALE.md): column
-// write -> mmap-read round trips, the empty and single-trace corpora,
-// index lookups, page-release re-reads, and the >4 GiB offset arithmetic
-// that must never truncate to 32 bits.
+// write -> mmap-read round trips, the empty, single-trace and many-trace
+// corpora, page-release re-reads, and the >4 GiB offset arithmetic that
+// must never truncate to 32 bits.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -125,15 +125,13 @@ TEST(CorpusFormatTest, FooterEncodeDecodeRoundTrip) {
 
 TEST(CorpusFormatTest, EmptyCorpusRoundTrips) {
   const std::string dir = temp_dir("empty");
-  TraceCorpusWriter writer(dir, 2);
+  TraceCorpusWriter writer(dir);
   const CorpusSummary written = writer.finish();
   EXPECT_EQ(written.traces, 0u);
-  EXPECT_EQ(written.shards, 2u);
 
   const auto reader = TraceCorpusReader::open(dir);
   EXPECT_EQ(reader->traces(), 0u);
   EXPECT_EQ(reader->total_hops(), 0u);
-  EXPECT_EQ(reader->shards(), 2u);
   const CorpusSummary verified = TraceCorpusReader::verify(dir);
   EXPECT_EQ(verified.traces, 0u);
 }
@@ -143,91 +141,64 @@ TEST(CorpusFormatTest, SingleTraceRoundTripsFieldForField) {
   Rng rng(17);
   const TraceResult want = make_trace(rng, 99);
 
-  TraceCorpusWriter writer(dir, 1);
-  writer.append(0, MetroId(5), want);
+  TraceCorpusWriter writer(dir);
+  writer.append(want);
   const CorpusSummary summary = writer.finish();
   EXPECT_EQ(summary.traces, 1u);
   EXPECT_EQ(summary.hops, want.hops.size());
 
   const auto reader = TraceCorpusReader::open(dir, /*verify_payloads=*/true);
   ASSERT_EQ(reader->traces(), 1u);
-  EXPECT_EQ(reader->shard(0).metro(0), 5u);
   TraceResult got;
   reader->materialize(0, got);
   expect_traces_equal(want, got);
 }
 
-TEST(CorpusFormatTest, ShardedCorpusRoundTripsInGlobalSeqOrder) {
-  const std::string dir = temp_dir("sharded");
-  constexpr std::uint32_t kShards = 3;
+TEST(CorpusFormatTest, RowsRoundTripInAppendOrder) {
+  const std::string dir = temp_dir("rows");
   constexpr std::uint32_t kTraces = 257;
   Rng rng(4242);
   std::vector<TraceResult> want;
-  TraceCorpusWriter writer(dir, kShards);
+  TraceCorpusWriter writer(dir);
   for (std::uint32_t i = 0; i < kTraces; ++i) {
     want.push_back(make_trace(rng, i));
-    // Uneven round-robin so shard row counts differ.
-    writer.append(i % kShards == 0 ? 0 : i % kShards, MetroId(i % 7),
-                  want.back());
+    writer.append(want.back());
   }
-  EXPECT_EQ(writer.traces_written(), kTraces);
-  writer.finish();
+  EXPECT_EQ(writer.finish().traces, kTraces);
 
   const auto reader = TraceCorpusReader::open(dir, /*verify_payloads=*/true);
   ASSERT_EQ(reader->traces(), kTraces);
-
-  // Global seq order reconstructs the exact append order, cursor or not.
-  TraceCorpusReader::Cursor cursor;
+  // Row r is the r-th appended trace, read forwards or backwards.
   TraceResult got;
-  for (std::uint32_t seq = 0; seq < kTraces; ++seq) {
-    reader->materialize(seq, got, &cursor);
-    expect_traces_equal(want[seq], got);
-    reader->materialize(seq, got);  // binary-search path agrees
-    expect_traces_equal(want[seq], got);
+  for (std::uint32_t row = 0; row < kTraces; ++row) {
+    reader->materialize(row, got);
+    expect_traces_equal(want[row], got);
+  }
+  for (std::uint32_t row = kTraces; row-- > 0;) {
+    reader->materialize(row, got);
+    expect_traces_equal(want[row], got);
   }
   TraceCorpusReader::verify(dir);
-}
-
-TEST(CorpusFormatTest, IndexFindsAllRowsForVpTargetPair) {
-  const std::string dir = temp_dir("index");
-  TraceCorpusWriter writer(dir, 2);
-  // Three traces for one (vp, target) unit interleaved with others.
-  TraceResult dup;
-  dup.vp = VantagePointId(9);
-  dup.target = Ipv4(0x01020304);
-  Rng rng(7);
-  for (int i = 0; i < 3; ++i) {
-    writer.append(0, MetroId(1), dup);
-    writer.append(1, MetroId(2), make_trace(rng, static_cast<std::uint32_t>(i)));
-  }
-  writer.finish();
-
-  const auto reader = TraceCorpusReader::open(dir);
-  const auto rows = reader->shard(0).find(9, 0x01020304);
-  EXPECT_EQ(rows.size(), 3u);
-  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], i);
-  EXPECT_TRUE(reader->shard(0).find(9, 0x01020305).empty());
-  EXPECT_TRUE(reader->shard(1).find(9, 0x01020304).empty());
 }
 
 TEST(CorpusFormatTest, ReleasedPagesRereadIdentically) {
   const std::string dir = temp_dir("release");
   Rng rng(5);
   std::vector<TraceResult> want;
-  TraceCorpusWriter writer(dir, 2);
+  TraceCorpusWriter writer(dir);
   for (std::uint32_t i = 0; i < 64; ++i) {
     want.push_back(make_trace(rng, i));
-    writer.append(i % 2, MetroId(i % 3), want.back());
+    writer.append(want.back());
   }
   writer.finish();
 
   const auto reader = TraceCorpusReader::open(dir);
   TraceResult got;
-  for (std::uint32_t seq = 0; seq < 64; ++seq) reader->materialize(seq, got);
+  for (std::uint32_t row = 0; row < 64; ++row) reader->materialize(row, got);
   reader->release_range(0, 64);  // MADV_DONTNEED is advisory, never lossy
-  for (std::uint32_t seq = 0; seq < 64; ++seq) {
-    reader->materialize(seq, got);
-    expect_traces_equal(want[seq], got);
+  for (std::uint32_t row = 0; row < 64; ++row) {
+    reader->materialize(row, got);
+    expect_traces_equal(want[row], got);
   }
 }
 
@@ -241,10 +212,10 @@ TEST(CorpusLayoutTest, OffsetsAbove4GiBStay64Bit) {
   EXPECT_EQ(wide.offset_of(599'999'999ULL), 4'799'999'992ULL);
   EXPECT_GT(wide.offset_of(536'870'912ULL), 0xffffffffULL);
 
-  // The 20-byte index-record column crosses 4 GiB at ~214.7M traces.
-  const ColumnLayout index{300'000'000ULL, ShardReader::kIndexRecordBytes};
-  EXPECT_EQ(index.payload_bytes(), 6'000'000'000ULL);
-  EXPECT_EQ(index.offset_of(299'999'999ULL), 5'999'999'980ULL);
+  // A u32 column (vp, target, hop_addr) crosses 4 GiB at ~1.07G rows.
+  const ColumnLayout narrow{1'500'000'000ULL, 4};
+  EXPECT_EQ(narrow.payload_bytes(), 6'000'000'000ULL);
+  EXPECT_EQ(narrow.offset_of(1'499'999'999ULL), 5'999'999'996ULL);
 
   // A single-byte column the size of the row count itself.
   const ColumnLayout flags{6'000'000'000ULL, 1};

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -30,11 +31,11 @@ std::string temp_dir(const std::string& stem) {
   return dir;
 }
 
-// A small committed corpus: 40 traces over 2 shards.
+// A small committed corpus: 40 one-hop traces.
 std::string write_corpus(const std::string& stem) {
   const std::string dir = temp_dir(stem);
   Rng rng(13);
-  TraceCorpusWriter writer(dir, 2);
+  TraceCorpusWriter writer(dir);
   for (std::uint32_t i = 0; i < 40; ++i) {
     TraceResult trace;
     trace.vp = VantagePointId(i + 1);
@@ -45,7 +46,7 @@ std::string write_corpus(const std::string& stem) {
     hop.address = Ipv4(0xc0a80000u + i);
     hop.rtt_ms = rng.uniform_real(1.0, 50.0);
     trace.hops.push_back(hop);
-    writer.append(i % 2, MetroId(i % 3), trace);
+    writer.append(trace);
   }
   writer.finish();
   return dir;
@@ -91,7 +92,7 @@ void write_raw_column(const std::string& path,
 
 TEST(CorpusRobustnessTest, TruncatedColumnIsRejectedWithFileAndOffset) {
   const std::string dir = write_corpus("truncated");
-  const std::string victim = dir + "/shard-0001/hop_rtt.col";
+  const std::string victim = dir + "/hop_rtt.col";
   const std::uint64_t size = file_size(victim);
   ASSERT_EQ(::truncate(victim.c_str(), static_cast<off_t>(size - 7)), 0);
 
@@ -108,7 +109,7 @@ TEST(CorpusRobustnessTest, TruncatedColumnIsRejectedWithFileAndOffset) {
 
 TEST(CorpusRobustnessTest, FileShorterThanFooterIsRejected) {
   const std::string dir = write_corpus("stub");
-  const std::string victim = dir + "/shard-0000/seq.col";
+  const std::string victim = dir + "/vp.col";
   ASSERT_EQ(::truncate(victim.c_str(), 11), 0);
   try {
     (void)TraceCorpusReader::open(dir);
@@ -120,7 +121,7 @@ TEST(CorpusRobustnessTest, FileShorterThanFooterIsRejected) {
 
 TEST(CorpusRobustnessTest, PayloadBitFlipIsCaughtByDeepVerify) {
   const std::string dir = write_corpus("bitflip");
-  const std::string victim = dir + "/shard-0000/hop_addr.col";
+  const std::string victim = dir + "/hop_addr.col";
   // Open succeeds (footers are intact) ...
   const auto reader = TraceCorpusReader::open(dir);
   ASSERT_EQ(reader->traces(), 40u);
@@ -136,7 +137,7 @@ TEST(CorpusRobustnessTest, PayloadBitFlipIsCaughtByDeepVerify) {
 
 TEST(CorpusRobustnessTest, FooterCorruptionIsCaughtOnOpen) {
   const std::string dir = write_corpus("footer");
-  const std::string victim = dir + "/shard-0001/flags.col";
+  const std::string victim = dir + "/flags.col";
   const std::uint64_t footer_at = file_size(victim) - kFooterBytes;
   // Flip a byte of the rows field: footer_hash no longer matches, and the
   // error pinpoints the checksum field itself (footer + 32).
@@ -203,25 +204,12 @@ TEST(CorpusRobustnessTest, KilledRunTmpLitterIsIgnored) {
   const std::string dir = write_corpus("tmplitter");
   // A killed writer leaves `.tmp` columns behind; a later reader of the
   // committed corpus must never open them.
-  std::ofstream(dir + "/shard-0000/seq.col.tmp") << "garbage, not a column";
-  std::ofstream(dir + "/shard-0001/extra.col.tmp") << "also garbage";
+  std::ofstream(dir + "/vp.col.tmp") << "garbage, not a column";
+  std::ofstream(dir + "/extra.col.tmp") << "also garbage";
   const auto reader = TraceCorpusReader::open(dir, /*verify_payloads=*/true);
   EXPECT_EQ(reader->traces(), 40u);
   const CorpusSummary summary = TraceCorpusReader::verify(dir);
   EXPECT_EQ(summary.traces, 40u);
-}
-
-TEST(CorpusRobustnessTest, ManifestShardCountMismatchIsRejected) {
-  const std::string dir = write_corpus("shardcount");
-  // Remove a whole shard directory the manifest still promises.
-  const std::string victim = dir + "/shard-0001";
-  for (const char* column :
-       {"seq.col", "vp.col", "target.col", "metro.col", "flags.col",
-        "timeouts.col", "hop_off.col", "hop_cnt.col", "hop_addr.col",
-        "hop_rtt.col", "hop_flags.col", "index.col"})
-    ASSERT_EQ(::unlink((victim + "/" + column).c_str()), 0) << column;
-  ASSERT_EQ(::rmdir(victim.c_str()), 0);
-  EXPECT_THROW((void)TraceCorpusReader::open(dir), CorpusError);
 }
 
 TEST(CorpusRobustnessTest, MissingDirectoryIsAStructuredError) {
@@ -236,15 +224,71 @@ TEST(CorpusRobustnessTest, MissingDirectoryIsAStructuredError) {
 
 TEST(CorpusRobustnessTest, RowCountCrossColumnMismatchIsRejected) {
   const std::string dir = write_corpus("rowskew");
-  // Rewrite vp.col with one row fewer than seq.col: per-shard row-count
-  // cross-checks must reject the shard even though the file is valid on
-  // its own.
+  // Rewrite target.col with one row fewer than vp.col: the cross-column
+  // row-count check must reject the corpus even though the file is valid
+  // on its own.
   const auto reader = TraceCorpusReader::open(dir);
-  const std::uint64_t rows = reader->shard(0).traces();
+  const std::uint64_t rows = reader->traces();
   std::vector<unsigned char> payload(static_cast<std::size_t>(rows - 1) * 4, 1);
-  write_raw_column(dir + "/shard-0000/vp.col", payload, kColumnMagic,
+  write_raw_column(dir + "/target.col", payload, kColumnMagic,
                    kColumnVersion, 4, rows - 1);
   EXPECT_THROW((void)TraceCorpusReader::open(dir), CorpusError);
+}
+
+
+// Writes a manifest from raw JSON value texts, so a test can plant any
+// type or number spelling next to the columns of a committed corpus.
+void write_manifest(const std::string& dir,
+                    const std::map<std::string, std::string>& fields) {
+  std::string text = "{";
+  for (const auto& [key, value] : fields)
+    text += (text.size() > 1 ? ", \"" : "\"") + key + "\": " + value;
+  std::ofstream(manifest_path(dir), std::ios::trunc) << text << "}\n";
+}
+
+TEST(CorpusRobustnessTest, MalformedManifestFieldsAreCorpusErrors) {
+  // Each manifest field must be present, of the right type and an exact
+  // non-negative integer, and the counts must match the columns; anything
+  // else is a structured CorpusError, not a generic runtime error, a
+  // silent truncation or a wrapped cast.
+  const struct {
+    const char* key;
+    const char* value;  // empty = field removed
+  } cases[] = {
+      {"version", ""},      {"traces", ""},         {"hops", ""},
+      {"format", ""},       {"format", "7"},        {"traces", "\"40\""},
+      {"version", "1.5"},   {"version", "1e300"},   {"version", "-2"},
+      {"hops", "40.0"},     {"version", "1"},       {"traces", "null"},
+      {"traces", "41"},     {"hops", "39"},
+  };
+  const std::map<std::string, std::string> valid = {
+      {"format", "\"cfs-trace-corpus\""},
+      {"version", std::to_string(kColumnVersion)},
+      {"traces", "40"},
+      {"hops", "40"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.key) + " = '" + c.value + "'");
+    const std::string dir = write_corpus("manifest");
+    std::map<std::string, std::string> fields = valid;
+    if (*c.value == '\0')
+      fields.erase(c.key);
+    else
+      fields[c.key] = c.value;
+    write_manifest(dir, fields);
+    try {
+      (void)TraceCorpusReader::verify(dir);
+      FAIL() << "malformed manifest accepted";
+    } catch (const CorpusError& error) {
+      EXPECT_EQ(error.path(), manifest_path(dir));
+      EXPECT_NE(std::string(error.what()).find(c.key), std::string::npos)
+          << error.what();
+    }
+  }
+  // The same writer with valid fields yields a corpus that verifies, so
+  // each case above fails on its field, not on the rewriting.
+  const std::string dir = write_corpus("manifest");
+  write_manifest(dir, valid);
+  EXPECT_EQ(TraceCorpusReader::verify(dir).traces, 40u);
 }
 
 }  // namespace

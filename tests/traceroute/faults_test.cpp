@@ -258,7 +258,8 @@ TEST(FaultedCampaignTest, PermanentOutageOpensCircuitAndSkips) {
   plan.retry.circuit_threshold = 3;
   FaultedCampaign fx(plan);
 
-  // One LG vantage point, probed repeatedly via probe() (no failover pool).
+  // One LG vantage point, probed repeatedly via probe(); no run() came
+  // first, so there is no failover pool.
   VantagePoint lg_vp;
   lg_vp.platform = Platform::LookingGlass;
   lg_vp.id = VantagePointId(0);
@@ -306,15 +307,14 @@ TEST(FaultedCampaignTest, TransientOutageRecoversViaBackoff) {
   expect_invariant(fm);
 }
 
-TEST(FaultedCampaignTest, DeadVpFailsOverToSameMetro) {
-  FaultPlan plan;
-  plan.vp_churn_fraction = 0.5;     // half the VPs churn...
-  plan.vp_churn_horizon_s = 100.0;  // ...and are dead by t=100
-  FaultedCampaign fx(plan);
+// Two Atlas VPs behind different routers of the same transit AS (same
+// metro): `dead` is scheduled to churn and `alive` never does. The churn
+// schedule is a pure hash, so pick the ids by probing it directly.
+struct SameMetroPair {
+  VantagePoint dead, alive;
+};
 
-  // Two Atlas VPs behind different routers of the same transit AS (same
-  // metro). Pick ids so one is scheduled to die and the failover candidate
-  // never churns — the schedule is a pure hash, so probe it directly.
+void same_metro_pair(const FaultedCampaign& fx, SameMetroPair& pair) {
   std::uint32_t doomed_id = 0, safe_id = 0;
   bool found_doomed = false, found_safe = false;
   for (std::uint32_t id = 0; id < 64 && !(found_doomed && found_safe); ++id) {
@@ -324,18 +324,28 @@ TEST(FaultedCampaignTest, DeadVpFailsOverToSameMetro) {
   }
   ASSERT_TRUE(found_doomed && found_safe);
 
-  VantagePoint dead = fx.atlas_vp(doomed_id, fx.a);
-  VantagePoint alive = fx.atlas_vp(safe_id, fx.a);
+  pair = {fx.atlas_vp(doomed_id, fx.a), fx.atlas_vp(safe_id, fx.a)};
   // Attach the failover candidate to a *different* router in the same
   // metro, otherwise pick_failover skips it.
-  for (const auto& router : fx.net.topo.routers())
-    if (router.owner == fx.a && router.id.value != dead.attach.value &&
-        fx.net.topo.metro_of(router.facility) ==
-            fx.net.topo.metro_of(fx.net.topo.router(dead.attach).facility)) {
-      alive.attach = router.id;
+  const Topology& topo = fx.net.topo;
+  for (const auto& router : topo.routers())
+    if (router.owner == fx.a && router.id.value != pair.dead.attach.value &&
+        topo.metro_of(router.facility) ==
+            topo.metro_of(topo.router(pair.dead.attach).facility)) {
+      pair.alive.attach = router.id;
       break;
     }
-  ASSERT_NE(alive.attach.value, dead.attach.value);
+  ASSERT_NE(pair.alive.attach.value, pair.dead.attach.value);
+}
+
+TEST(FaultedCampaignTest, DeadVpFailsOverToSameMetro) {
+  FaultPlan plan;
+  plan.vp_churn_fraction = 0.5;     // half the VPs churn...
+  plan.vp_churn_horizon_s = 100.0;  // ...and are dead by t=100
+  FaultedCampaign fx(plan);
+  SameMetroPair pair;
+  ASSERT_NO_FATAL_FAILURE(same_metro_pair(fx, pair));
+  const auto& [dead, alive] = pair;
 
   const VantagePoint* pool[] = {&dead, &alive};
   // First run advances virtual time by a 300s batch per target, past the
@@ -352,6 +362,41 @@ TEST(FaultedCampaignTest, DeadVpFailsOverToSameMetro) {
   // All of the second run's work executed from the substitute VP.
   ASSERT_FALSE(more.empty());
   for (const auto& tr : more) EXPECT_TRUE(tr.vp == alive.id);
+}
+
+TEST(FaultedCampaignTest, ProbeFailsOverThroughTheLastRunsPool) {
+  // probe() has no pool of its own: it fails over through the one the
+  // last faulted run() left behind (how CFS follow-ups reach VPs of the
+  // initial campaign), and before any run() a dead VP's probe is
+  // abandoned.
+  FaultPlan plan;
+  plan.vp_churn_fraction = 0.5;
+  plan.vp_churn_horizon_s = 0.0;  // churned VPs are dead from t = 0
+  for (const bool after_run : {true, false}) {
+    SCOPED_TRACE(after_run ? "after run()" : "before any run()");
+    FaultedCampaign fx(plan);
+    SameMetroPair pair;
+    ASSERT_NO_FATAL_FAILURE(same_metro_pair(fx, pair));
+    const auto& [dead, alive] = pair;
+    if (after_run) {
+      const VantagePoint* pool[] = {&dead, &alive};
+      (void)fx.campaign->run(pool, fx.targets);
+    }
+    const FaultMetrics before = fx.campaign->fault_stats();
+    const TraceResult trace = fx.campaign->probe(dead, fx.targets[0]);
+    const FaultMetrics& fm = fx.campaign->fault_stats();
+    if (after_run) {
+      EXPECT_EQ(fm.failovers, before.failovers + 1);
+      EXPECT_EQ(fm.traces_kept, before.traces_kept + 1);
+      EXPECT_FALSE(trace.hops.empty());
+      EXPECT_TRUE(trace.vp == alive.id);
+    } else {
+      EXPECT_EQ(fm.failovers, 0u);
+      EXPECT_EQ(fm.probes_abandoned, 1u);
+      EXPECT_TRUE(trace.hops.empty());
+    }
+    expect_invariant(fm);
+  }
 }
 
 TEST(FaultedCampaignTest, RateLimitBanTriggersBackoffAccounting) {

@@ -9,7 +9,7 @@
 //   cfs infer     [--scale ...] [--seed N] [--content N] [--transit N]
 //                 [--vp-fraction F] [--report FILE] [--threads N]
 //                 [--trace-out FILE]
-//                 [--spill --corpus-dir DIR [--shards N]]
+//                 [--spill --corpus-dir DIR]
 //                 [--corpus-dir DIR]
 //                 [--lg-outage F] [--lg-ban-burst N] [--vp-churn F]
 //                 [--probe-timeout F] [--pdb-withheld F] [--dns-withheld F]
@@ -23,18 +23,17 @@
 //       loadable in chrome://tracing or Perfetto; enabling it never
 //       changes the report (docs/OBSERVABILITY.md).
 //       --spill streams the campaign to an on-disk column corpus under
-//       --corpus-dir (sharded --shards ways by metro ownership) and runs
-//       CFS out of core over the mmap'd corpus; the report is
-//       byte-identical to the in-memory engine (docs/SCALE.md).
+//       --corpus-dir and runs CFS out of core over the mmap'd corpus; the
+//       report is byte-identical to the in-memory engine (docs/SCALE.md).
 //       --corpus-dir WITHOUT --spill replays a previously written corpus
 //       (the campaign is skipped; pass the matching --scale/--seed).
 //
 //   cfs corpus    <pack|inspect|verify> --corpus-dir DIR
-//                 [pack: --shards N + the infer campaign knobs]
+//                 [pack: the infer campaign knobs]
 //       pack runs the initial campaign in spill mode and leaves the
-//       corpus behind; inspect prints the manifest + per-shard footprint;
+//       corpus behind; inspect prints the manifest + per-column footprint;
 //       verify re-hashes every column payload and checks the structural
-//       invariants (sequence partition, index ordering, hop tiling).
+//       invariants (cross-column row counts, hop tiling).
 //       A missing or damaged corpus exits 6 with a structured error
 //       naming the file and byte offset (docs/SCALE.md).
 //
@@ -108,6 +107,7 @@
 // bit-flipped or version-skewed on-disk trace corpus (docs/SCALE.md).
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <mutex>
@@ -242,19 +242,12 @@ void faults_from(const Flags& flags, FaultPlan& plan) {
   plan.seed = static_cast<std::uint64_t>(flags.get_int("fault-seed", 0));
 }
 
-// Spill knobs shared by `infer` and `corpus pack`. --spill without a
-// directory is a usage error; --shards without --spill is too (it would
-// silently do nothing).
+// Spill knobs of `infer`. --spill without a directory is a usage error.
 void spill_from(const Flags& flags, PipelineConfig& config) {
   config.spill.enabled = flags.get_bool("spill", false);
   config.spill.dir = flags.get("corpus-dir", "");
-  const std::int64_t shards = flags.get_int("shards", 1);
-  if (shards < 1) throw std::invalid_argument("--shards must be >= 1");
-  config.spill.shards = static_cast<std::uint32_t>(shards);
   if (config.spill.enabled && config.spill.dir.empty())
     throw std::invalid_argument("--spill requires --corpus-dir DIR");
-  if (!config.spill.enabled && flags.has("shards"))
-    throw std::invalid_argument("--shards only applies with --spill");
 }
 
 int cmd_infer(const Flags& flags) {
@@ -279,8 +272,7 @@ int cmd_infer(const Flags& flags) {
     traces = pipeline.initial_campaign_store(
         pipeline.default_targets(content, transit), vp_fraction);
     std::cout << "corpus spilled to " << config.spill.dir << " ("
-              << config.spill.shards << " shards, " << traces.size()
-              << " traces)\n";
+              << traces.size() << " traces)\n";
   } else if (!config.spill.dir.empty()) {
     traces = pipeline.load_corpus(config.spill.dir);
     std::cout << "corpus replayed from " << config.spill.dir << " ("
@@ -387,11 +379,8 @@ int cmd_corpus(const Flags& flags) {
     const int transit = static_cast<int>(flags.get_int("transit", 2));
     const double vp_fraction = flags.get_double("vp-fraction", 0.6);
     config.threads = static_cast<int>(flags.get_int("threads", 0));
-    const std::int64_t shards = flags.get_int("shards", 1);
-    if (shards < 1) throw std::invalid_argument("--shards must be >= 1");
     config.spill.enabled = true;
     config.spill.dir = dir;
-    config.spill.shards = static_cast<std::uint32_t>(shards);
     faults_from(flags, config.faults);
     reject_unknown(flags);
 
@@ -400,8 +389,7 @@ int cmd_corpus(const Flags& flags) {
         pipeline.default_targets(content, transit), vp_fraction);
     const corpus::CorpusSummary summary = store.reader()->summary();
     std::cout << "packed " << summary.traces << " traces (" << summary.hops
-              << " hops) into " << summary.shards << " shards at " << dir
-              << "\n";
+              << " hops) at " << dir << "\n";
     return 0;
   }
 
@@ -409,21 +397,20 @@ int cmd_corpus(const Flags& flags) {
   if (op == "inspect") {
     const auto reader = corpus::TraceCorpusReader::open(dir);
     const corpus::CorpusSummary summary = reader->summary();
-    std::cout << "corpus " << dir << ": format v" << summary.version << ", "
-              << summary.traces << " traces, " << summary.hops << " hops, "
-              << summary.shards << " shards\n";
-    Table table({"Shard", "Traces", "Hops"});
-    for (const corpus::ShardSummary& shard : summary.shard_list)
-      table.add_row({shard.dir, Table::cell(shard.traces),
-                     Table::cell(shard.hops)});
+    std::cout << "corpus " << dir << ": format v" << corpus::kColumnVersion << ", "
+              << summary.traces << " traces, " << summary.hops << " hops\n";
+    Table table({"Column", "Rows", "Bytes"});
+    for (const corpus::MappedColumn& column : reader->columns())
+      table.add_row({std::filesystem::path(column.path()).filename().string(),
+                     Table::cell(column.rows()),
+                     Table::cell(column.layout().file_bytes())});
     table.print(std::cout);
     return 0;
   }
   if (op == "verify") {
     const corpus::CorpusSummary summary = corpus::TraceCorpusReader::verify(dir);
     std::cout << "corpus OK: " << summary.traces << " traces (" << summary.hops
-              << " hops) across " << summary.shards
-              << " shards, all payload hashes match\n";
+              << " hops), all payload hashes match\n";
     return 0;
   }
   throw std::invalid_argument("unknown corpus op '" + op +
