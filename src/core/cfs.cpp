@@ -70,9 +70,9 @@ struct ConstrainedFacilitySearch::State {
   std::vector<std::size_t> history;
   // Facility -> ASes present (per the public database), for follow-ups.
   std::unordered_map<std::uint32_t, std::vector<Asn>> present_at;
-  // Hosting AS -> vantage points inside it (LG-in-backbone follow-ups).
-  std::unordered_map<std::uint32_t, std::vector<const VantagePoint*>>
-      vps_by_as;
+  // Hosting AS -> vantage points inside it (LG-in-backbone follow-ups and
+  // reverse probes).
+  VpsByAs vps_by_as;
   // Observed AS adjacency (from classified crossings) as sorted-unique
   // neighbour columns keyed by a dense AS handle.
   Interner<Asn> as_ids;
@@ -346,8 +346,9 @@ void ConstrainedFacilitySearch::apply_alias_constraints(
   }
 }
 
-std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
+std::vector<ProbeUnit> ConstrainedFacilitySearch::plan_followups(
     State& state, int iteration, IterationMetrics& im) const {
+  TraceSpan select_span("followup.select");
   const IfaceTable& ifaces = state.fold.ifaces;
   // Gather unresolved-but-constrained interfaces, tightest first (they are
   // one good constraint away from resolution).
@@ -362,10 +363,8 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
               return ifaces.addr(a) < ifaces.addr(b);
             });
   im.followup_pool = unresolved.size();
-  im.followup_budget =
-      static_cast<std::size_t>(std::max(0, config_.followup_interfaces));
 
-  std::vector<TraceResult> fresh;
+  std::vector<ProbeUnit> units;
   const auto& all_vps = state.usable_vps;
   int chased = 0;
   // Rotate through the unresolved pool across iterations so the same few
@@ -447,18 +446,15 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
       if (!all_vps.empty())
         probes.push_back(all_vps[state.rng.index(all_vps.size())]);
 
-    std::size_t launched = 0;
+    const std::size_t planned = units.size();
     for (const auto& [score, target_as] : scored) {
       if (!topo_.has_as(target_as)) continue;
       const auto targets = MeasurementCampaign::targets_for(topo_, target_as);
       if (targets.empty()) continue;
-      for (const VantagePoint* vp : probes) {
-        TraceResult trace = campaign_.probe(*vp, targets.front());
-        ++launched;
-        if (!trace.hops.empty()) fresh.push_back(std::move(trace));
-      }
+      for (const VantagePoint* vp : probes)
+        units.push_back(ProbeUnit{vp->id, targets.front()});
     }
-    if (launched == 0) {
+    if (units.size() == planned) {
       ++im.followups_skipped;  // every scored AS was unprobeable
       continue;
     }
@@ -466,28 +462,16 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
     ++im.followups_launched;
   }
 
-  // Reverse-direction probes for unresolved far ends (Section 4.3).
-  std::vector<PeeringObservation> observations;
-  observations.reserve(state.fold.store.live_count());
-  for (const std::uint32_t slot : state.fold.store.order())
-    if (state.fold.store.live(slot))
-      observations.push_back(state.fold.store.value(slot));
-  const auto reverse_plan = plan_reverse_probes(
-      topo_, vps_,
-      [&state, &ifaces](Ipv4 far) {
-        const auto fh = state.fold.addrs.find(far);
-        return fh && ifaces.present(*fh) && !ifaces.resolved(*fh);
-      },
-      observations, /*budget=*/16, config_.platform_filter);
-  for (const ReverseProbe& probe : reverse_plan) {
-    TraceResult trace = campaign_.probe(vps_.vp(probe.vp), probe.target);
-    if (!trace.hops.empty()) fresh.push_back(std::move(trace));
-  }
+  select_span.arg("units", units.size());
+  select_span.stop();
 
-  log_debug() << "iteration " << iteration << ": " << fresh.size()
-              << " follow-up traces";
-  im.followup_traces = fresh.size();
-  return fresh;
+  // Reverse-direction probes for unresolved far ends (Section 4.3).
+  TraceSpan reverse_span("followup.reverse");
+  const std::vector<ProbeUnit> reverse =
+      plan_reverse_probes(topo_, state.fold, state.vps_by_as, /*budget=*/16);
+  units.insert(units.end(), reverse.begin(), reverse.end());
+  reverse_span.arg("units", reverse.size());
+  return units;
 }
 
 CfsReport ConstrainedFacilitySearch::run(std::vector<TraceResult> traces) {
@@ -563,7 +547,20 @@ CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
                       state.fold.ifaces.present_count() != 0;
     if (!done && iteration < config_.max_iterations) {
       TraceSpan followup_timer("cfs.followups");
-      std::vector<TraceResult> fresh = launch_followups(state, iteration, im);
+      const std::vector<ProbeUnit> units =
+          plan_followups(state, iteration, im);
+      TraceSpan probe_span("followup.probe");
+      probe_span.arg("units", units.size());
+      std::vector<TraceResult> fresh;
+      for (const ProbeUnit& unit : units) {
+        TraceResult trace = campaign_.probe(vps_.vp(unit.vp), unit.target);
+        if (!trace.hops.empty()) fresh.push_back(std::move(trace));
+      }
+      probe_span.arg("traces", fresh.size());
+      probe_span.stop();
+      log_debug() << "iteration " << iteration << ": " << fresh.size()
+                  << " follow-up traces";
+      im.followup_traces = fresh.size();
       followup_timer.arg("launched", im.followups_launched);
       followup_timer.arg("traces", fresh.size());
       im.followup_ms = followup_timer.stop();

@@ -7,9 +7,11 @@
 //           separating local, remote and data-less cases;
 //   Step 3  propagate constraints across alias sets (interfaces of one
 //           router must share its facility);
-//   Step 4  launch targeted follow-up traceroutes chosen to add the most
+//   Step 4  plan targeted follow-up traceroutes chosen to add the most
 //           constraining facility overlaps, plus reverse-direction probes
-//           from vantage points inside far-side ASes;
+//           from vantage points inside far-side ASes (planned off the fold,
+//           core/reverse.h), as one ordered (vp, target) list that a
+//           single loop then probes;
 // until every interface converges to a single facility or the iteration
 // budget (100 in the paper) is exhausted. A final pass classifies each
 // crossing's engineering (cross-connect, tethering, public local/remote,
@@ -131,9 +133,10 @@ class ConstrainedFacilitySearch {
                                   IterationMetrics& im) const;
   void apply_alias_constraints(State& state, int iteration,
                                IterationMetrics& im) const;
-  // Step 4: returns the fresh traces (caller ingests them under the
-  // classify timer).
-  [[nodiscard]] std::vector<TraceResult> launch_followups(
+  // Step 4 plan: the targeted follow-ups (selection, which draws
+  // `state.rng`) then the reverse probes, as one ordered probe list. run()
+  // probes it in order and ingests the traces under the classify timer.
+  [[nodiscard]] std::vector<ProbeUnit> plan_followups(
       State& state, int iteration, IterationMetrics& im) const;
 
   const Topology& topo_;

@@ -2,61 +2,36 @@
 
 #include <unordered_set>
 
-#include "traceroute/campaign.h"
-
 namespace cfs {
 
-std::vector<ReverseProbe> plan_reverse_probes(
-    const Topology& topo, const VantagePointSet& vps,
-    const std::function<bool(Ipv4)>& far_unresolved,
-    const std::vector<PeeringObservation>& observations, std::size_t budget,
-    std::optional<Platform> platform_filter) {
-  std::vector<ReverseProbe> plan;
-
-  // Index vantage points by hosting AS once.
-  std::unordered_map<std::uint32_t, std::vector<const VantagePoint*>> by_as;
-  for (const VantagePoint& vp : vps.all()) {
-    if (platform_filter && vp.platform != *platform_filter) continue;
-    by_as[vp.asn.value].push_back(&vp);
-  }
-
+std::vector<ProbeUnit> plan_reverse_probes(const Topology& topo,
+                                           ConstraintFold& fold,
+                                           const VpsByAs& vps_by_as,
+                                           std::size_t budget) {
+  std::vector<ProbeUnit> plan;
   std::unordered_set<Ipv4> planned_far;
-  for (const PeeringObservation& obs : observations) {
+  for (const std::uint32_t slot : fold.store.order()) {
     if (plan.size() >= budget) break;
+    if (!fold.store.live(slot)) continue;  // vanished at refresh
+    const PeeringObservation& obs = fold.store.value(slot);
     if (obs.kind != PeeringKind::Public) continue;
-    if (!far_unresolved(obs.far_addr)) continue;
+    const std::uint32_t far = *fold.addrs.find(obs.far_addr);
+    if (!fold.ifaces.present(far) || fold.ifaces.resolved(far)) continue;
     if (!planned_far.insert(obs.far_addr).second) continue;
 
-    const auto vps_in_far = by_as.find(obs.far_as.value);
-    if (vps_in_far == by_as.end()) continue;
+    const auto vps_in_far = vps_by_as.find(obs.far_as.value);
+    if (vps_in_far == vps_by_as.end()) continue;
     if (!topo.has_as(obs.near_as)) continue;
     const auto targets = MeasurementCampaign::targets_for(topo, obs.near_as);
-    if (targets.empty()) continue;
 
-    // One probe from the first vantage point in the far AS toward each of
-    // up to two near-side targets.
     std::size_t used = 0;
     for (const Ipv4 target : targets) {
       if (used >= 2 || plan.size() >= budget) break;
-      plan.push_back(ReverseProbe{vps_in_far->second.front()->id, target});
+      plan.push_back(ProbeUnit{vps_in_far->second.front()->id, target});
       ++used;
     }
   }
   return plan;
-}
-
-std::vector<ReverseProbe> plan_reverse_probes(
-    const Topology& topo, const VantagePointSet& vps,
-    const std::unordered_map<Ipv4, InterfaceInference>& interfaces,
-    const std::vector<PeeringObservation>& observations, std::size_t budget,
-    std::optional<Platform> platform_filter) {
-  return plan_reverse_probes(
-      topo, vps,
-      [&interfaces](Ipv4 far) {
-        const auto it = interfaces.find(far);
-        return it != interfaces.end() && !it->second.resolved();
-      },
-      observations, budget, platform_filter);
 }
 
 }  // namespace cfs

@@ -4,37 +4,33 @@
 // crossing stays dark from one direction. When the measurement platforms
 // include vantage points *inside* the far-side AS, probing back toward the
 // near-side AS turns the far router into a near-side observation and lets
-// Steps 1-4 resolve it. This helper plans those reverse probes.
+// Steps 1-4 resolve it. This helper plans those reverse probes as Step 4
+// probe units; the batch driver (core/cfs.cpp) appends them after the
+// targeted follow-ups and probes the whole list in order.
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
-#include "core/report.h"
-#include "traceroute/platforms.h"
+#include "core/fold.h"
+#include "traceroute/campaign.h"
 
 namespace cfs {
 
-struct ReverseProbe {
-  VantagePointId vp;  // vantage point inside the far-side AS
-  Ipv4 target;        // address inside the near-side AS
-};
+// Hosting AS -> the vantage points inside it, in VantagePointSet order
+// (after any platform filter).
+using VpsByAs =
+    std::unordered_map<std::uint32_t, std::vector<const VantagePoint*>>;
 
 // Plans up to `budget` reverse probes for public-peering far interfaces
-// that are not yet resolved. Deterministic given the report contents.
-// `far_unresolved` answers "is this far address a known, still-unresolved
-// interface?" — the engine's dense table and the report map both plug in.
-std::vector<ReverseProbe> plan_reverse_probes(
-    const Topology& topo, const VantagePointSet& vps,
-    const std::function<bool(Ipv4)>& far_unresolved,
-    const std::vector<PeeringObservation>& observations, std::size_t budget,
-    std::optional<Platform> platform_filter = std::nullopt);
-
-// Convenience overload over a materialised interface map.
-std::vector<ReverseProbe> plan_reverse_probes(
-    const Topology& topo, const VantagePointSet& vps,
-    const std::unordered_map<Ipv4, InterfaceInference>& interfaces,
-    const std::vector<PeeringObservation>& observations, std::size_t budget,
-    std::optional<Platform> platform_filter = std::nullopt);
+// that are present in the fold but not yet resolved, walking its live
+// observations in ascending key order: one probe from the first vantage
+// point in the far AS toward each of up to two near-side targets.
+// Deterministic given the fold contents.
+std::vector<ProbeUnit> plan_reverse_probes(const Topology& topo,
+                                           ConstraintFold& fold,
+                                           const VpsByAs& vps_by_as,
+                                           std::size_t budget);
 
 }  // namespace cfs

@@ -44,6 +44,13 @@
 
 namespace cfs {
 
+// One (vantage point, target) traceroute. CFS Step 4 plans its follow-up
+// and reverse probes as an ordered list of these and probes each in turn.
+struct ProbeUnit {
+  VantagePointId vp;
+  Ipv4 target;
+};
+
 class MeasurementCampaign {
  public:
   MeasurementCampaign(const Topology& topo, TracerouteEngine& engine,
