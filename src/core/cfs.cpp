@@ -452,7 +452,7 @@ std::vector<ProbeUnit> ConstrainedFacilitySearch::plan_followups(
       const auto targets = MeasurementCampaign::targets_for(topo_, target_as);
       if (targets.empty()) continue;
       for (const VantagePoint* vp : probes)
-        units.push_back(ProbeUnit{vp->id, targets.front()});
+        units.push_back(ProbeUnit{vp, targets.front()});
     }
     if (units.size() == planned) {
       ++im.followups_skipped;  // every scored AS was unprobeable
@@ -551,12 +551,13 @@ CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
           plan_followups(state, iteration, im);
       TraceSpan probe_span("followup.probe");
       probe_span.arg("units", units.size());
-      std::vector<TraceResult> fresh;
-      for (const ProbeUnit& unit : units) {
-        TraceResult trace = campaign_.probe(vps_.vp(unit.vp), unit.target);
-        if (!trace.hops.empty()) fresh.push_back(std::move(trace));
-      }
+      const std::size_t hits_before = campaign_.speculation_hits();
+      std::vector<TraceResult> fresh = campaign_.probe(units);
+      std::erase_if(fresh, [](const TraceResult& trace) {
+        return trace.hops.empty();
+      });
       probe_span.arg("traces", fresh.size());
+      probe_span.arg("hits", campaign_.speculation_hits() - hits_before);
       probe_span.stop();
       log_debug() << "iteration " << iteration << ": " << fresh.size()
                   << " follow-up traces";

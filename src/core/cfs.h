@@ -135,7 +135,8 @@ class ConstrainedFacilitySearch {
                                IterationMetrics& im) const;
   // Step 4 plan: the targeted follow-ups (selection, which draws
   // `state.rng`) then the reverse probes, as one ordered probe list. run()
-  // probes it in order and ingests the traces under the classify timer.
+  // probes the list in one campaign call (speculated on the pool, replayed
+  // in order) and ingests the traces under the classify timer.
   [[nodiscard]] std::vector<ProbeUnit> plan_followups(
       State& state, int iteration, IterationMetrics& im) const;
 

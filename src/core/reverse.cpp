@@ -27,7 +27,7 @@ std::vector<ProbeUnit> plan_reverse_probes(const Topology& topo,
     std::size_t used = 0;
     for (const Ipv4 target : targets) {
       if (used >= 2 || plan.size() >= budget) break;
-      plan.push_back(ProbeUnit{vps_in_far->second.front()->id, target});
+      plan.push_back(ProbeUnit{vps_in_far->second.front(), target});
       ++used;
     }
   }

@@ -6,7 +6,7 @@
 // near-side AS turns the far router into a near-side observation and lets
 // Steps 1-4 resolve it. This helper plans those reverse probes as Step 4
 // probe units; the batch driver (core/cfs.cpp) appends them after the
-// targeted follow-ups and probes the whole list in order.
+// targeted follow-ups and probes the whole list in one campaign call.
 #pragma once
 
 #include <cstdint>

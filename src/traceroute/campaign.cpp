@@ -81,10 +81,17 @@ void MeasurementCampaign::run(std::span<const VantagePoint* const> vps,
           ? std::max<std::size_t>(
                 1, kSpeculationWindowUnits / std::max<std::size_t>(1, vps.size()))
           : targets.size();
+  std::vector<ProbeUnit> units;
   for (std::size_t t0 = 0; t0 < targets.size(); t0 += block) {
     const std::span<const Ipv4> window(targets.data() + t0,
                                        std::min(block, targets.size() - t0));
-    if (pool_ != nullptr) speculate(vps, window);
+    if (pool_ != nullptr) {
+      // The units of this window in the pass's target-major order.
+      units.clear();
+      for (const Ipv4 target : window)
+        for (const VantagePoint* vp : vps) units.push_back({vp, target});
+      speculate(units);
+    }
     for (const Ipv4 target : window) {
       bool used_parallel_batch = false;
       for (const VantagePoint* vp : vps) {
@@ -100,27 +107,26 @@ void MeasurementCampaign::run(std::span<const VantagePoint* const> vps,
   stats_.wall_ms += span.stop();
 }
 
-void MeasurementCampaign::speculate(std::span<const VantagePoint* const> vps,
-                                    std::span<const Ipv4> targets) {
+void MeasurementCampaign::speculate(std::span<const ProbeUnit> units) {
   // Predict the stream id of every unit the serial pass will execute on
-  // its happy path, walking units in the same target-major order. The
-  // prediction can be wrong — failovers and abandoned units shift repeat
-  // counters — but never incorrect: the cache is keyed by stream id and
-  // trace execution is a pure function of it, so a mispredicted unit just
-  // misses and is computed serially.
-  struct Unit {
-    const VantagePoint* vp;
-    Ipv4 target;
-    std::uint64_t stream;
-  };
-  std::vector<Unit> units;
-  units.reserve(vps.size() * targets.size());
-  auto predicted = repeats_;  // local copy; real counters bump at execute()
-  for (const Ipv4 target : targets) {
-    for (const VantagePoint* vp : vps) {
-      const std::uint64_t key = unit_key(vp->id, target);
-      units.push_back({vp, target, unit_stream(key, predicted[key]++)});
+  // its happy path, walking units in the pass's order. The prediction can
+  // be wrong — failovers and abandoned units shift repeat counters — but
+  // never incorrect: the cache is keyed by stream id and trace execution
+  // is a pure function of it, so a mispredicted unit just misses and is
+  // computed serially. The prediction counters hold only this list's keys,
+  // each starting from the unit's real counter (which bumps at execute()).
+  std::vector<std::uint64_t> streams;
+  streams.reserve(units.size());
+  std::unordered_map<std::uint64_t, std::uint32_t> predicted;
+  predicted.reserve(units.size());
+  for (const ProbeUnit& unit : units) {
+    const std::uint64_t key = unit_key(unit.vp->id, unit.target);
+    const auto [it, first] = predicted.try_emplace(key, 0);
+    if (first) {
+      if (const auto real = repeats_.find(key); real != repeats_.end())
+        it->second = real->second;
     }
+    streams.push_back(unit_stream(key, it->second++));
   }
 
   TraceSpan span("campaign.speculate");
@@ -133,16 +139,26 @@ void MeasurementCampaign::speculate(std::span<const VantagePoint* const> vps,
         chunk.arg("count", end - begin);
         for (std::size_t i = begin; i < end; ++i)
           results[i] = engine_.trace_seeded(*units[i].vp, units[i].target,
-                                            units[i].stream);
+                                            streams[i]);
       });
 
-  // This window's results replace what the previous window left
-  // unconsumed; should the pass still want such a stream, it misses and
-  // computes it serially.
+  // These results replace what the previous list left unconsumed; should
+  // the pass still want such a stream, it misses and computes it serially.
   speculative_.clear();
   speculative_.reserve(units.size());
   for (std::size_t i = 0; i < units.size(); ++i)
-    speculative_.emplace(units[i].stream, std::move(results[i]));
+    speculative_.emplace(streams[i], std::move(results[i]));
+}
+
+std::vector<TraceResult> MeasurementCampaign::probe(
+    std::span<const ProbeUnit> units) {
+  if (pool_ != nullptr && !units.empty()) speculate(units);
+  std::vector<TraceResult> out;
+  out.reserve(units.size());
+  for (const ProbeUnit& unit : units)
+    out.push_back(probe(*unit.vp, unit.target));
+  speculative_.clear();
+  return out;
 }
 
 TraceResult MeasurementCampaign::probe(const VantagePoint& vp, Ipv4 target) {
@@ -309,8 +325,13 @@ TraceResult MeasurementCampaign::execute(const VantagePoint& vp, Ipv4 target,
   const std::uint64_t stream = unit_stream(key, repeats_[key]++);
   const auto it = speculative_.find(stream);
   if (it != speculative_.end()) {
-    TraceResult result = std::move(it->second);
+    // Copy, not move: the copy's hop vector is exact-size and allocated on
+    // this thread, while the worker's carries growth slack; a kept trace
+    // outlives the campaign pass.
+    TraceResult result = it->second;
     speculative_.erase(it);
+    ++speculation_hits_;
+    Trace::counter("campaign.speculation_hits");
     return result;
   }
   return engine_.trace_seeded(vp, target, stream);

@@ -29,7 +29,11 @@
 // at every thread count and window size; with no pool the pass simply
 // computes each trace on demand. Windows bound the predictions in flight,
 // so campaign memory does not grow with the corpus (docs/SCALE.md): a
-// caller sink receives each kept trace as the pass keeps it.
+// caller sink receives each kept trace as the pass keeps it. probe() over a
+// list of units (CFS Step 4) is the same pass: one speculation of the whole
+// list, then a serial replay unit by unit. A speculated hit reaches the
+// pass as an exact-size copy made on the calling thread, so kept traces
+// never hold the workers' hop vectors with their growth slack.
 #pragma once
 
 #include <functional>
@@ -45,9 +49,10 @@
 namespace cfs {
 
 // One (vantage point, target) traceroute. CFS Step 4 plans its follow-up
-// and reverse probes as an ordered list of these and probes each in turn.
+// and reverse probes as an ordered list of these and probes the list in
+// one call; run() speculates its windows as lists of these too.
 struct ProbeUnit {
-  VantagePointId vp;
+  const VantagePoint* vp;
   Ipv4 target;
 };
 
@@ -57,10 +62,10 @@ class MeasurementCampaign {
                       LookingGlassDirectory& lgs,
                       FaultPlane* faults = nullptr);
 
-  // Attach a worker pool: run() speculates each window of traces in
-  // parallel before its serial pass over that window. Null (the default)
-  // disables speculation; the serial pass then computes every trace itself
-  // — same results either way.
+  // Attach a worker pool: run() speculates each window of traces, and
+  // probe() each unit list, in parallel before the serial pass over it.
+  // Null (the default) disables speculation; the serial pass then computes
+  // every trace itself — same results either way.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
   [[nodiscard]] ThreadPool* pool() const { return pool_; }
 
@@ -88,6 +93,13 @@ class MeasurementCampaign {
   // abandoned. A probe with no usable VP returns an empty trace.
   TraceResult probe(const VantagePoint& vp, Ipv4 target);
 
+  // probe() of every unit in list order, one result per unit, with the
+  // same clock, cool-downs, failovers and accounting. With a pool
+  // attached the whole list is speculated first, so the serial replay
+  // mostly consumes precomputed traces; the results are the same either
+  // way.
+  std::vector<TraceResult> probe(std::span<const ProbeUnit> units);
+
   [[nodiscard]] double virtual_elapsed_s() const { return clock_s_; }
   [[nodiscard]] std::size_t traces_attempted() const {
     return stats_.traces_attempted;
@@ -95,6 +107,10 @@ class MeasurementCampaign {
   [[nodiscard]] std::size_t traces_kept() const { return stats_.traces_kept; }
   // Full measurement-plane attrition accounting (see net/faults.h).
   [[nodiscard]] const FaultMetrics& fault_stats() const { return stats_; }
+  // Executions served from the speculation cache; 0 without a pool.
+  [[nodiscard]] std::size_t speculation_hits() const {
+    return speculation_hits_;
+  }
 
   // One probe-able destination address inside every announced prefix of the
   // AS — the paper's "one active IP per prefix" target list.
@@ -127,9 +143,8 @@ class MeasurementCampaign {
   [[nodiscard]] const VantagePoint* pick_failover(const VantagePoint& failed);
   [[nodiscard]] MetroId metro_of(const VantagePoint& vp) const;
   // Parallel pre-computation of the traces the serial pass will consume
-  // over one window of targets.
-  void speculate(std::span<const VantagePoint* const> vps,
-                 std::span<const Ipv4> targets);
+  // over one list of units: a run() window or a probe() list.
+  void speculate(std::span<const ProbeUnit> units);
 
   const Topology& topo_;
   TracerouteEngine& engine_;
@@ -151,6 +166,7 @@ class MeasurementCampaign {
   // Speculated results, keyed by stream id. Entries are consumed (erased)
   // on hit; a prediction the serial pass never asks for is simply dropped.
   std::unordered_map<std::uint64_t, TraceResult> speculative_;
+  std::size_t speculation_hits_ = 0;
 
   static constexpr double parallel_batch_s = 300.0;  // Atlas full campaign
   static constexpr double single_trace_s = 30.0;

@@ -79,7 +79,7 @@ TEST(Reverse, PlansProbesFromFarSideVantagePoints) {
   const auto plan = plan_reverse_probes(fx.net.topo, fold, fx.index(), 8);
   ASSERT_FALSE(plan.empty());
   for (const ProbeUnit& probe : plan) {
-    EXPECT_EQ(fx.vps->vp(probe.vp).asn, fx.e);       // inside the far AS
+    EXPECT_EQ(probe.vp->asn, fx.e);  // inside the far AS
     EXPECT_EQ(fx.net.topo.origin_of(probe.target), fx.a);  // toward near AS
   }
 }

@@ -479,6 +479,13 @@ std::string trace_bytes(const TraceResult& trace) {
   return out;
 }
 
+// `campaign.speculate` spans closed so far in this process.
+std::uint64_t speculations() {
+  const MetricsSnapshot snap = Trace::metrics();
+  const auto it = snap.timers.find("campaign.speculate");
+  return it == snap.timers.end() ? std::uint64_t{0} : it->second.count;
+}
+
 struct WindowedRun {
   std::vector<std::string> traces;  // kept traces, in keep-order
   FaultMetrics stats;
@@ -501,11 +508,6 @@ WindowedRun run_windowed(int threads, bool sink) {
   targets.insert(targets.end(), once.begin(), once.end());
   MeasurementCampaign& campaign = pipeline.campaign();
   WindowedRun out;
-  const auto speculations = [] {
-    const MetricsSnapshot snap = Trace::metrics();
-    const auto it = snap.timers.find("campaign.speculate");
-    return it == snap.timers.end() ? std::uint64_t{0} : it->second.count;
-  };
   const std::uint64_t before = speculations();
   if (sink) {
     campaign.run(vps, targets,
@@ -546,6 +548,105 @@ TEST(CampaignWindows, SinkMatchesRunVector) {
   EXPECT_EQ(vector.stats, sink.stats);
   EXPECT_EQ(vector.elapsed_s, sink.elapsed_s);
   EXPECT_EQ(vector.traces, sink.traces);
+}
+
+struct ProbedList {
+  std::vector<std::string> traces;  // one per unit, empty ones included
+  std::string next_probe;           // one more single probe() afterwards
+  FaultMetrics after_run;           // before the list
+  FaultMetrics after_list;          // before the single probe
+  FaultMetrics stats;
+  double elapsed_s = 0.0;
+  std::uint64_t speculations = 0;
+  std::size_t hits = 0;
+  std::uint64_t hit_counter = 0;  // campaign.speculation_hits registry delta
+};
+
+std::uint64_t hit_counter() {
+  const MetricsSnapshot snap = Trace::metrics();
+  const auto it = snap.counters.find("campaign.speculation_hits");
+  return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+}
+
+// A faulted run() of every VP over five targets leaves the failover pool
+// behind and ends about an hour into the churn horizon, so the list that
+// follows meets live VPs, dead ones and LGs in outage. The list is Step-4
+// style: one unit per VP, the whole list twice, so each unit's repeat
+// counter starts from the run()'s and counts up inside the list. `as_list`
+// selects probe(units) over one single-unit probe() per unit.
+ProbedList probe_list(int threads, bool as_list) {
+  Pipeline pipeline(window_config(threads));
+  std::vector<const VantagePoint*> vps;
+  for (const VantagePoint& vp : pipeline.vantage_points().all())
+    vps.push_back(&vp);
+  const std::vector<Ipv4> targets = every_target(pipeline.topology());
+  MeasurementCampaign& campaign = pipeline.campaign();
+  (void)campaign.run(vps, std::vector<Ipv4>(targets.begin(),
+                                            targets.begin() + 5));
+
+  std::vector<ProbeUnit> units;
+  for (std::size_t i = 0; i < vps.size(); ++i)
+    units.push_back({vps[i], targets[(7 * i) % targets.size()]});
+  const std::vector<ProbeUnit> once = units;
+  units.insert(units.end(), once.begin(), once.end());
+
+  ProbedList out;
+  out.after_run = campaign.fault_stats();
+  const std::uint64_t speculations_before = speculations();
+  const std::uint64_t counter_before = hit_counter();
+  const std::size_t hits_before = campaign.speculation_hits();
+  std::vector<TraceResult> results;
+  if (as_list) {
+    results = campaign.probe(units);
+  } else {
+    for (const ProbeUnit& unit : units)
+      results.push_back(campaign.probe(*unit.vp, unit.target));
+  }
+  out.speculations = speculations() - speculations_before;
+  out.hit_counter = hit_counter() - counter_before;
+  out.hits = campaign.speculation_hits() - hits_before;
+  out.after_list = campaign.fault_stats();
+  EXPECT_EQ(results.size(), units.size());
+  for (const TraceResult& trace : results)
+    out.traces.push_back(trace_bytes(trace));
+  out.next_probe = trace_bytes(campaign.probe(*units[0].vp, units[0].target));
+  out.stats = campaign.fault_stats();
+  out.elapsed_s = campaign.virtual_elapsed_s();
+  return out;
+}
+
+TEST(CampaignWindows, PooledProbeListMatchesSerialProbes) {
+  const ProbedList serial = probe_list(1, false);
+  const ProbedList pooled = probe_list(4, true);
+  EXPECT_EQ(pooled.speculations, 1u);  // the whole list, once
+  EXPECT_GT(pooled.hits, 0u);
+  EXPECT_EQ(pooled.hit_counter, pooled.hits);
+  // Without a pool the list speculates nothing and is the per-unit loop.
+  const ProbedList unpooled = probe_list(1, true);
+  EXPECT_EQ(unpooled.speculations, 0u);
+  EXPECT_EQ(unpooled.hits, 0u);
+  EXPECT_EQ(unpooled.traces, serial.traces);
+  EXPECT_EQ(unpooled.stats, serial.stats);
+  EXPECT_EQ(unpooled.elapsed_s, serial.elapsed_s);
+
+  // The list must fail over from dead VPs, retry LGs in outage, and
+  // still keep traces.
+  const FaultMetrics& run = serial.after_run;
+  const FaultMetrics& list = serial.after_list;
+  EXPECT_GT(list.failovers, run.failovers);
+  EXPECT_GT(list.retries, run.retries);
+  EXPECT_GT(list.traces_kept, run.traces_kept);
+  expect_invariant(serial.stats);
+
+  EXPECT_EQ(serial.after_list, pooled.after_list);  // all but wall_ms
+  EXPECT_EQ(serial.stats, pooled.stats);
+  EXPECT_EQ(serial.elapsed_s, pooled.elapsed_s);
+  ASSERT_EQ(serial.traces.size(), pooled.traces.size());
+  for (std::size_t i = 0; i < serial.traces.size(); ++i)
+    ASSERT_EQ(serial.traces[i], pooled.traces[i]) << "unit " << i;
+  // Repeat counters advanced identically: the next execution of a listed
+  // unit draws the same stream.
+  EXPECT_EQ(serial.next_probe, pooled.next_probe);
 }
 
 // ---------------------------------------------------------------------------
