@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical kernels:
 // longest-prefix match, monotonic bounds test, one whole alias resolve,
-// AS-path computation, traceroute synthesis, and an end-to-end tiny CFS
-// run.
+// AS-path computation, the forwarding tables' build, traceroute synthesis,
+// and an end-to-end tiny CFS run.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -76,6 +76,19 @@ void BM_RoutingTableComputation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RoutingTableComputation);
+
+// Building the per-AS all-pairs forwarding tables on the paper-scale
+// topology: the set-up cost that makes each traced path a table walk.
+void BM_ForwardingEngineBuild(benchmark::State& state) {
+  static const Topology topo = generate_topology(GeneratorConfig::paper_scale());
+  static const RoutingOracle oracle(topo);
+  for (auto _ : state) {
+    ForwardingEngine forwarding(topo, oracle);
+    benchmark::DoNotOptimize(&forwarding);
+  }
+  state.counters["routers"] = static_cast<double>(topo.routers().size());
+}
+BENCHMARK(BM_ForwardingEngineBuild)->Unit(benchmark::kMillisecond);
 
 void BM_TracerouteSynthesis(benchmark::State& state) {
   static Topology topo = generate_topology(GeneratorConfig::small_scale());

@@ -63,6 +63,7 @@ void Topology::add_as(AutonomousSystem as) {
 
 RouterId Topology::add_router(Router router) {
   router.id = RouterId(static_cast<std::uint32_t>(routers_.size()));
+  as_routers_[router.owner].push_back(router.id);
   routers_.push_back(std::move(router));
   router_links_.emplace_back();
   return routers_.back().id;
@@ -167,18 +168,17 @@ std::span<const LinkId> Topology::links_of(RouterId router) const {
   return router_links_[router.value];
 }
 
-std::vector<RouterId> Topology::routers_of(Asn asn) const {
-  std::vector<RouterId> out;
-  for (const auto& r : routers_)
-    if (r.owner == asn) out.push_back(r.id);
-  return out;
+std::span<const RouterId> Topology::routers_of(Asn asn) const {
+  const auto it = as_routers_.find(asn);
+  if (it == as_routers_.end()) return {};
+  return it->second;
 }
 
 std::vector<RouterId> Topology::routers_at(Asn asn,
                                            FacilityId facility) const {
   std::vector<RouterId> out;
-  for (const auto& r : routers_)
-    if (r.owner == asn && r.facility == facility) out.push_back(r.id);
+  for (const RouterId id : routers_of(asn))
+    if (routers_[id.value].facility == facility) out.push_back(id);
   return out;
 }
 

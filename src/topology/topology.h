@@ -75,7 +75,10 @@ class Topology {
   // ---- cross indexes ----
   [[nodiscard]] const Interface* find_interface(Ipv4 addr) const;
   [[nodiscard]] std::span<const LinkId> links_of(RouterId router) const;
-  [[nodiscard]] std::vector<RouterId> routers_of(Asn asn) const;
+  // Routers owned by `asn`, in ascending id order (empty for an unknown
+  // AS). Filled by add_router, so the span is valid until the next
+  // add_router; a router's owner must not change after it is added.
+  [[nodiscard]] std::span<const RouterId> routers_of(Asn asn) const;
   [[nodiscard]] std::vector<RouterId> routers_at(Asn asn,
                                                  FacilityId facility) const;
 
@@ -111,6 +114,7 @@ class Topology {
   std::unordered_map<std::uint32_t, std::size_t> asn_index_;
   std::unordered_map<Ipv4, Interface> interfaces_;
   std::vector<std::vector<LinkId>> router_links_;
+  std::unordered_map<Asn, std::vector<RouterId>> as_routers_;
   std::unordered_map<Asn, AsRelations> relations_;
   PrefixTrie<Asn> announcements_;
   PrefixTrie<IxpId> ixp_lans_;

@@ -26,7 +26,6 @@ TraceResult TracerouteEngine::trace_seeded(const VantagePoint& vp, Ipv4 target,
 
 TraceResult TracerouteEngine::trace_impl(const VantagePoint& vp, Ipv4 target,
                                          Rng& noise, Rng* timeout_rng) const {
-  traces_.fetch_add(1, std::memory_order_relaxed);
   // Injected-timeout draw; only trace_seeded() hands out a timeout stream,
   // and only when the plane's timeout rate is positive.
   const auto times_out = [&]() {

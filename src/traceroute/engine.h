@@ -11,7 +11,6 @@
 // (engine seed, stream) and the campaign can compute it on any thread.
 #pragma once
 
-#include <atomic>
 #include <vector>
 
 #include "net/faults.h"
@@ -62,10 +61,6 @@ class TracerouteEngine {
   TraceResult trace_seeded(const VantagePoint& vp, Ipv4 target,
                            std::uint64_t stream) const;
 
-  [[nodiscard]] std::size_t traces_executed() const {
-    return traces_.load(std::memory_order_relaxed);
-  }
-
  private:
   // `noise` supplies loss/jitter draws; `timeout_rng` supplies
   // injected-timeout draws, null meaning no injected timeouts.
@@ -77,7 +72,6 @@ class TracerouteEngine {
   EngineConfig config_;
   std::uint64_t seed_;
   FaultPlane* faults_ = nullptr;
-  mutable std::atomic<std::size_t> traces_{0};
 };
 
 }  // namespace cfs

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <stdexcept>
 
 namespace cfs {
 namespace {
+
+constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
 std::uint64_t pair_key(Asn a, Asn b) {
   return (std::uint64_t{a.value} << 32) | b.value;
@@ -18,18 +21,64 @@ const std::vector<LinkId> ForwardingEngine::no_links_;
 ForwardingEngine::ForwardingEngine(const Topology& topo,
                                    const RoutingOracle& oracle)
     : topo_(topo), oracle_(oracle) {
-  backbone_.resize(topo.routers().size());
+  struct Adjacency {
+    RouterId peer;
+    LinkId link;
+    double latency;
+  };
+  std::vector<std::vector<Adjacency>> backbone(topo.routers().size());
   for (const auto& link : topo.links()) {
-    if (link.type == LinkType::Backbone) {
-      backbone_[link.a.router.value].push_back(
-          Adjacency{link.b.router, link.id, link.latency_ms});
-      backbone_[link.b.router.value].push_back(
-          Adjacency{link.a.router, link.id, link.latency_ms});
-    } else {
-      const Asn a = topo.router(link.a.router).owner;
-      const Asn b = topo.router(link.b.router).owner;
+    const Asn a = topo.router(link.a.router).owner;
+    const Asn b = topo.router(link.b.router).owner;
+    if (link.type != LinkType::Backbone) {
       inter_as_links_[pair_key(a, b)].push_back(link.id);
       inter_as_links_[pair_key(b, a)].push_back(link.id);
+    } else if (a != b) {
+      throw std::logic_error("ForwardingEngine: backbone link across ASes");
+    } else {
+      backbone[link.a.router.value].push_back(
+          Adjacency{link.b.router, link.id, link.latency_ms});
+      backbone[link.b.router.value].push_back(
+          Adjacency{link.a.router, link.id, link.latency_ms});
+    }
+  }
+
+  row_.resize(topo.routers().size());
+  col_.resize(topo.routers().size());
+  std::size_t cells = 0;
+  for (const auto& as : topo.ases()) {
+    const auto routers = topo.routers_of(as.asn);
+    for (std::size_t i = 0; i < routers.size(); ++i) {
+      row_[routers[i].value] =
+          static_cast<std::uint32_t>(cells + i * routers.size());
+      col_[routers[i].value] = static_cast<std::uint32_t>(i);
+    }
+    cells += routers.size() * routers.size();
+  }
+  table_.assign(cells,
+                Entry{kUnreachable, RouterId::invalid(), LinkId::invalid()});
+
+  // One Dijkstra per source router, run to completion (see the header).
+  using Item = std::pair<double, std::uint32_t>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  for (const auto& as : topo.ases()) {
+    for (const RouterId src : topo.routers_of(as.asn)) {
+      Entry* const row = table_.data() + row_[src.value];
+      row[col_[src.value]].distance = 0.0;
+      heap.emplace(0.0, src.value);
+      while (!heap.empty()) {
+        const auto [d, cur] = heap.top();
+        heap.pop();
+        if (d > row[col_[cur]].distance) continue;
+        for (const Adjacency& adj : backbone[cur]) {
+          const double cand = d + adj.latency;
+          Entry& e = row[col_[adj.peer.value]];
+          if (cand < e.distance) {
+            e = Entry{cand, RouterId(cur), adj.link};
+            heap.emplace(cand, adj.peer.value);
+          }
+        }
+      }
     }
   }
 }
@@ -47,70 +96,32 @@ std::optional<RouterId> ForwardingEngine::responsible_router(
   return routers[slice];
 }
 
-std::vector<RouterHop> ForwardingEngine::intra_as_path(RouterId from,
-                                                       RouterId to) const {
-  std::vector<RouterHop> path;
-  if (from == to) {
-    path.push_back(
-        RouterHop{from, topo_.router(from).local_address, LinkId::invalid(), 0});
-    return path;
-  }
-
-  // Dijkstra over backbone links (per-AS subgraphs are small).
-  constexpr double inf = std::numeric_limits<double>::infinity();
-  std::unordered_map<std::uint32_t, double> dist;
-  std::unordered_map<std::uint32_t, std::pair<RouterId, LinkId>> prev;
-  using Item = std::pair<double, std::uint32_t>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  dist[from.value] = 0.0;
-  heap.emplace(0.0, from.value);
-  while (!heap.empty()) {
-    const auto [d, cur] = heap.top();
-    heap.pop();
-    if (d > dist[cur]) continue;
-    if (cur == to.value) break;
-    for (const Adjacency& adj : backbone_[cur]) {
-      const double cand = d + adj.latency;
-      const auto it = dist.find(adj.peer.value);
-      if (it == dist.end() || cand < it->second) {
-        dist[adj.peer.value] = cand;
-        prev[adj.peer.value] = {RouterId(cur), adj.link};
-        heap.emplace(cand, adj.peer.value);
-      }
-    }
-  }
-
-  if (!dist.contains(to.value) ||
-      dist[to.value] == inf)  // disconnected backbone
-    return {};
-
-  // Reconstruct, then convert into hops with ingress addresses.
-  std::vector<std::pair<RouterId, LinkId>> chain;  // (router, link entered by)
-  RouterId cur = to;
-  while (cur != from) {
-    const auto& [parent, link] = prev.at(cur.value);
-    chain.emplace_back(cur, link);
-    cur = parent;
-  }
-  std::reverse(chain.begin(), chain.end());
-
-  path.push_back(
-      RouterHop{from, topo_.router(from).local_address, LinkId::invalid(), 0});
-  double acc = 0.0;
-  for (const auto& [router, link_id] : chain) {
-    const Link& link = topo_.link(link_id);
-    acc += link.latency_ms;
+bool ForwardingEngine::append_path(std::vector<RouterHop>& out,
+                                   RouterId to) const {
+  const RouterId from = out.back().router;
+  const double clock = out.back().cumulative_ms;
+  if (entry(from, to).distance == kUnreachable) return false;
+  const std::size_t first = out.size();
+  for (RouterId cur = to; cur != from;) {
+    const Entry& e = entry(from, cur);
+    const Link& link = topo_.link(e.link);
     const Ipv4 ingress =
-        link.a.router == router ? link.a.address : link.b.address;
-    path.push_back(RouterHop{router, ingress, link_id, acc});
+        link.a.router == cur ? link.a.address : link.b.address;
+    out.push_back(RouterHop{cur, ingress, e.link, e.distance + clock});
+    cur = e.prev;
   }
-  return path;
+  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+  return true;
 }
 
-double ForwardingEngine::intra_distance(RouterId from, RouterId to) const {
-  const auto path = intra_as_path(from, to);
-  if (path.empty()) return std::numeric_limits<double>::infinity();
-  return path.back().cumulative_ms;
+std::vector<RouterHop> ForwardingEngine::intra_as_path(RouterId from,
+                                                       RouterId to) const {
+  std::vector<RouterHop> path{
+      RouterHop{from, topo_.router(from).local_address, LinkId::invalid(), 0}};
+  if (topo_.router(from).owner != topo_.router(to).owner ||
+      !append_path(path, to))
+    return {};
+  return path;
 }
 
 const std::vector<LinkId>& ForwardingEngine::links_between(Asn a,
@@ -123,80 +134,43 @@ std::vector<RouterHop> ForwardingEngine::route(RouterId src,
                                                Ipv4 target) const {
   const auto dst_router = responsible_router(target);
   if (!dst_router) return {};
-  const Asn src_as = topo_.router(src).owner;
-  const Asn dst_as = topo_.router(*dst_router).owner;
-
-  const auto as_path = oracle_.as_path(src_as, dst_as);
+  const auto as_path = oracle_.as_path(topo_.router(src).owner,
+                                       topo_.router(*dst_router).owner);
   if (as_path.empty()) return {};
 
-  std::vector<RouterHop> full;
-  RouterId current = src;
-  double clock = 0.0;
-
-  auto append_intra = [&](RouterId to) -> bool {
-    const auto seg = intra_as_path(current, to);
-    if (seg.empty()) return false;
-    for (std::size_t i = 0; i < seg.size(); ++i) {
-      if (!full.empty() && i == 0) continue;  // avoid duplicating junction
-      RouterHop hop = seg[i];
-      hop.cumulative_ms += clock;
-      full.push_back(hop);
-    }
-    clock = full.empty() ? clock : full.back().cumulative_ms;
-    current = to;
-    return true;
-  };
+  std::vector<RouterHop> full{
+      RouterHop{src, topo_.router(src).local_address, LinkId::invalid(), 0}};
 
   // Walk the AS path, crossing one inter-AS link per adjacency.
   for (std::size_t i = 0; i + 1 < as_path.size(); ++i) {
-    const Asn here = as_path[i];
-    const Asn next = as_path[i + 1];
-    const auto& candidates = links_between(here, next);
-    if (candidates.empty()) return {};
-
     // Hot potato: pick the link whose near-side router is cheapest to reach
     // from the current position; ties by link id for determinism.
-    LinkId best_link = LinkId::invalid();
-    RouterId best_near, best_far;
-    Ipv4 best_far_addr;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (const LinkId lid : candidates) {
+    const RouterId current = full.back().router;
+    const Link* best = nullptr;
+    bool best_a_side = false;
+    double best_cost = kUnreachable;
+    for (const LinkId lid : links_between(as_path[i], as_path[i + 1])) {
       const Link& link = topo_.link(lid);
-      const bool a_side = topo_.router(link.a.router).owner == here;
-      const RouterId near = a_side ? link.a.router : link.b.router;
-      const RouterId far = a_side ? link.b.router : link.a.router;
-      const Ipv4 far_addr = a_side ? link.b.address : link.a.address;
-      const double cost = intra_distance(current, near);
+      const bool a_side = topo_.router(link.a.router).owner == as_path[i];
+      const double cost =
+          entry(current, a_side ? link.a.router : link.b.router).distance;
       if (cost < best_cost) {
         best_cost = cost;
-        best_link = lid;
-        best_near = near;
-        best_far = far;
-        best_far_addr = far_addr;
+        best = &link;
+        best_a_side = a_side;
       }
     }
-    if (!best_link.valid() ||
-        best_cost == std::numeric_limits<double>::infinity())
-      return {};
+    if (best == nullptr) return {};
 
-    if (!append_intra(best_near)) return {};
-    if (full.empty())  // src == best_near and nothing appended yet
-      full.push_back(RouterHop{best_near,
-                               topo_.router(best_near).local_address,
-                               LinkId::invalid(), clock});
-
-    const Link& link = topo_.link(best_link);
-    clock += link.latency_ms;
-    full.push_back(RouterHop{best_far, best_far_addr, best_link, clock});
-    current = best_far;
+    const LinkEnd& near = best_a_side ? best->a : best->b;
+    const LinkEnd& far = best_a_side ? best->b : best->a;
+    append_path(full, near.router);  // reachable: best_cost is finite
+    full.push_back(RouterHop{far.router, far.address, best->id,
+                             full.back().cumulative_ms + best->latency_ms});
   }
 
   // Final intra-AS stretch to the responsible router.
-  if (full.empty())
-    full.push_back(RouterHop{current, topo_.router(current).local_address,
-                             LinkId::invalid(), 0.0});
-  if (current != *dst_router && !append_intra(*dst_router)) return {};
-
+  if (!append_path(full, *dst_router)) return {};
   return full;
 }
 

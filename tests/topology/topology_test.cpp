@@ -148,6 +148,18 @@ TEST(Topology, RoutersAtAndOf) {
   EXPECT_EQ(fx.topo.routers_of(fx.a).size(), 1u);
   EXPECT_EQ(fx.topo.routers_at(fx.b, fx.f1).size(), 1u);
   EXPECT_TRUE(fx.topo.routers_at(fx.b, fx.f2).empty());
+  EXPECT_TRUE(fx.topo.routers_of(Asn(42)).empty());
+
+  // A router added after another AS's keeps its owner's list in id order.
+  Router late;
+  late.owner = fx.a;
+  late.facility = fx.f1;
+  const RouterId rl = fx.topo.add_router(late);
+  const auto of_a = fx.topo.routers_of(fx.a);
+  ASSERT_EQ(of_a.size(), 2u);
+  EXPECT_EQ(of_a[0], fx.ra);
+  EXPECT_EQ(of_a[1], rl);
+  EXPECT_EQ(fx.topo.routers_of(fx.b).size(), 1u);
 }
 
 TEST(Topology, ValidatePassesOnConsistentTopology) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+#include <unordered_map>
+
 #include "support/mini_net.h"
 #include "topology/generator.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace cfs {
 namespace {
@@ -189,6 +194,141 @@ TEST(ForwardingProperty, GeneratedRoutesAreWellFormed) {
     }
   }
   EXPECT_GT(nonempty, 100);
+}
+
+// The per-call Dijkstra that the per-AS tables replaced, kept as the
+// reference: adjacency in topo.links() order, heap ordered by (distance,
+// router id), strict `<` relaxation, stop at the target's first pop, and
+// the hops' latencies summed along the chain from the source.
+class ReferenceForwarding {
+ public:
+  explicit ReferenceForwarding(const Topology& topo)
+      : topo_(topo), backbone_(topo.routers().size()) {
+    for (const Link& link : topo.links())
+      if (link.type == LinkType::Backbone) {
+        backbone_[link.a.router.value].push_back(
+            {link.b.router, link.id, link.latency_ms});
+        backbone_[link.b.router.value].push_back(
+            {link.a.router, link.id, link.latency_ms});
+      }
+  }
+
+  std::vector<RouterHop> intra_as_path(RouterId from, RouterId to) const {
+    const RouterHop first{from, topo_.router(from).local_address,
+                          LinkId::invalid(), 0};
+    if (from == to) return {first};
+    std::unordered_map<std::uint32_t, double> dist;
+    std::unordered_map<std::uint32_t, std::pair<RouterId, LinkId>> prev;
+    using Item = std::pair<double, std::uint32_t>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+    dist[from.value] = 0.0;
+    heap.emplace(0.0, from.value);
+    while (!heap.empty()) {
+      const auto [d, cur] = heap.top();
+      heap.pop();
+      if (d > dist[cur]) continue;
+      if (cur == to.value) break;
+      for (const Adjacency& adj : backbone_[cur]) {
+        const double cand = d + adj.latency;
+        const auto it = dist.find(adj.peer.value);
+        if (it == dist.end() || cand < it->second) {
+          dist[adj.peer.value] = cand;
+          prev[adj.peer.value] = {RouterId(cur), adj.link};
+          heap.emplace(cand, adj.peer.value);
+        }
+      }
+    }
+    if (!dist.contains(to.value)) return {};
+    std::vector<std::pair<RouterId, LinkId>> chain;
+    for (RouterId cur = to; cur != from; cur = prev.at(cur.value).first)
+      chain.emplace_back(cur, prev.at(cur.value).second);
+    std::reverse(chain.begin(), chain.end());
+    std::vector<RouterHop> path{first};
+    double acc = 0.0;
+    for (const auto& [router, link_id] : chain) {
+      const Link& link = topo_.link(link_id);
+      acc += link.latency_ms;
+      path.push_back(RouterHop{
+          router, link.a.router == router ? link.a.address : link.b.address,
+          link_id, acc});
+    }
+    return path;
+  }
+
+ private:
+  struct Adjacency {
+    RouterId peer;
+    LinkId link;
+    double latency;
+  };
+  const Topology& topo_;
+  std::vector<std::vector<Adjacency>> backbone_;
+};
+
+void expect_same_hops(const std::vector<RouterHop>& got,
+                      const std::vector<RouterHop>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].router, want[i].router) << "hop " << i;
+    EXPECT_EQ(got[i].ingress, want[i].ingress) << "hop " << i;
+    EXPECT_EQ(got[i].via_link, want[i].via_link) << "hop " << i;
+    EXPECT_EQ(got[i].cumulative_ms, want[i].cumulative_ms) << "hop " << i;
+  }
+}
+
+// Property: the per-AS tables give exactly the per-call Dijkstra's path for
+// every ordered router pair of every AS (latencies compared bit for bit),
+// and route() gives the same hops computed serially or from pool workers
+// reading the tables at once.
+TEST(ForwardingProperty, TablesMatchPerCallDijkstra) {
+  for (const GeneratorConfig& config :
+       {GeneratorConfig::tiny(), GeneratorConfig::small_scale()}) {
+    const Topology topo = generate_topology(config);
+    RoutingOracle oracle(topo);
+    ForwardingEngine fwd(topo, oracle);
+    const ReferenceForwarding ref(topo);
+
+    std::size_t pairs = 0;
+    for (const auto& as : topo.ases())
+      for (const RouterId from : topo.routers_of(as.asn))
+        for (const RouterId to : topo.routers_of(as.asn)) {
+          SCOPED_TRACE(::testing::Message() << "AS " << as.asn.value << " "
+                                            << from.value << "->" << to.value);
+          const auto want = ref.intra_as_path(from, to);
+          ASSERT_FALSE(want.empty());
+          expect_same_hops(fwd.intra_as_path(from, to), want);
+          ++pairs;
+        }
+    EXPECT_GT(pairs, topo.routers().size());
+
+    Rng rng(config.seed);
+    const auto ases = topo.ases();
+    std::vector<std::pair<RouterId, Ipv4>> queries;
+    while (queries.size() < 400) {
+      const auto src_routers = topo.routers_of(ases[rng.index(ases.size())].asn);
+      const Prefix& block =
+          ases[rng.index(ases.size())].prefixes.front();
+      queries.emplace_back(src_routers[rng.index(src_routers.size())],
+                           block.at(1 + rng.uniform(block.size() - 2)));
+    }
+    std::vector<std::vector<RouterHop>> serial, pooled(queries.size());
+    for (const auto& [src, target] : queries)
+      serial.push_back(fwd.route(src, target));
+    ThreadPool pool(4);
+    pool.parallel_for_chunks(queries.size(),
+                             [&](std::size_t begin, std::size_t end) {
+                               for (std::size_t i = begin; i < end; ++i)
+                                 pooled[i] = fwd.route(queries[i].first,
+                                                       queries[i].second);
+                             });
+    std::size_t nonempty = 0;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "query " << i);
+      expect_same_hops(pooled[i], serial[i]);
+      nonempty += serial[i].empty() ? 0 : 1;
+    }
+    EXPECT_GT(nonempty, queries.size() / 2);
+  }
 }
 
 }  // namespace
