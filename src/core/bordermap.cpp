@@ -8,24 +8,31 @@ BorderMapper::BorderMapper(const IpToAsnService& ip2asn,
 
 void BorderMapper::ingest(const TraceResult& trace) {
   const auto& hops = trace.hops;
+  // One IXP test and one raw lookup per hop; the loop below reads each
+  // hop's class up to three times (as itself, successor and predecessor).
+  hop_class_.assign(hops.size(), HopClass{});
   for (std::size_t i = 0; i < hops.size(); ++i) {
     if (!hops[i].responded) continue;
+    HopClass& c = hop_class_[i];
+    c.responded = true;
+    c.ixp = ip2asn_.ixp_of(hops[i].address).has_value();
+    if (!c.ixp) c.asn = ip2asn_.lookup(hops[i].address);
+  }
+  for (std::size_t i = 0; i < hops.size(); ++i) {
     // IXP LAN addresses are handled by the public-peering classifier.
-    if (ip2asn_.ixp_of(hops[i].address)) continue;
+    if (!hop_class_[i].responded || hop_class_[i].ixp) continue;
     Evidence& evidence = stats_[hops[i].address];
 
-    if (i + 1 < hops.size() && hops[i + 1].responded) {
-      if (ip2asn_.ixp_of(hops[i + 1].address)) {
+    if (i + 1 < hops.size() && hop_class_[i + 1].responded) {
+      const HopClass& succ = hop_class_[i + 1];
+      if (succ.ixp) {
         ++evidence.ixp_successors;
-      } else if (const auto succ = ip2asn_.lookup(hops[i + 1].address)) {
-        ++evidence.successor_as[succ->value];
+      } else if (succ.asn) {
+        ++evidence.successor_as[succ.asn->value];
       }
     }
-    if (i > 0 && hops[i - 1].responded &&
-        !ip2asn_.ixp_of(hops[i - 1].address)) {
-      if (const auto pred = ip2asn_.lookup(hops[i - 1].address))
-        ++evidence.predecessor_as[pred->value];
-    }
+    if (i > 0 && hop_class_[i - 1].asn)
+      ++evidence.predecessor_as[hop_class_[i - 1].asn->value];
   }
 }
 

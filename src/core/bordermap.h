@@ -12,7 +12,9 @@
 // link, so X's router belongs to B.
 #pragma once
 
+#include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "data/ip2asn.h"
 #include "traceroute/engine.h"
@@ -50,9 +52,18 @@ class BorderMapper {
     std::size_t ixp_successors = 0;
   };
 
+  // A hop as ingest reads it: asn is set only for a responding non-IXP hop
+  // with a raw mapping.
+  struct HopClass {
+    bool responded = false;
+    bool ixp = false;
+    std::optional<Asn> asn;
+  };
+
   const IpToAsnService& ip2asn_;
   BorderMapConfig config_;
   std::unordered_map<Ipv4, Evidence> stats_;
+  std::vector<HopClass> hop_class_;  // ingest scratch, one entry per hop
 };
 
 }  // namespace cfs
