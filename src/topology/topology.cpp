@@ -174,14 +174,6 @@ std::span<const RouterId> Topology::routers_of(Asn asn) const {
   return it->second;
 }
 
-std::vector<RouterId> Topology::routers_at(Asn asn,
-                                           FacilityId facility) const {
-  std::vector<RouterId> out;
-  for (const RouterId id : routers_of(asn))
-    if (routers_[id.value].facility == facility) out.push_back(id);
-  return out;
-}
-
 std::optional<Asn> Topology::origin_of(Ipv4 addr) const {
   const auto hit = announcements_.lookup(addr);
   if (!hit) return std::nullopt;

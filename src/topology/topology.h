@@ -79,8 +79,6 @@ class Topology {
   // AS). Filled by add_router, so the span is valid until the next
   // add_router; a router's owner must not change after it is added.
   [[nodiscard]] std::span<const RouterId> routers_of(Asn asn) const;
-  [[nodiscard]] std::vector<RouterId> routers_at(Asn asn,
-                                                 FacilityId facility) const;
 
   // Ground-truth origin of an address per BGP announcements (longest match).
   [[nodiscard]] std::optional<Asn> origin_of(Ipv4 addr) const;

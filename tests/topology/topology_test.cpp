@@ -143,11 +143,9 @@ TEST(Topology, RelationsOfUnknownAsnIsEmpty) {
   EXPECT_TRUE(rel.peers.empty());
 }
 
-TEST(Topology, RoutersAtAndOf) {
+TEST(Topology, RoutersOf) {
   Fixture fx;
   EXPECT_EQ(fx.topo.routers_of(fx.a).size(), 1u);
-  EXPECT_EQ(fx.topo.routers_at(fx.b, fx.f1).size(), 1u);
-  EXPECT_TRUE(fx.topo.routers_at(fx.b, fx.f2).empty());
   EXPECT_TRUE(fx.topo.routers_of(Asn(42)).empty());
 
   // A router added after another AS's keeps its owner's list in id order.
