@@ -1,6 +1,7 @@
 #include "core/validation.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace cfs {
 
@@ -195,6 +196,47 @@ SourceAccuracy ValidationHarness::oracle_interface_accuracy(
     if (!truth) continue;
     score(acc, inf.facility(), *truth);
   }
+  return acc;
+}
+
+AliasAccuracy ValidationHarness::oracle_alias_accuracy(
+    const CfsReport& report) const {
+  // IXP LAN addresses are interfaces of the member's port router too.
+  const auto router_of = [this](Ipv4 addr) -> const Router* {
+    const Interface* iface = topo_.find_interface(addr);
+    return iface == nullptr ? nullptr : &topo_.router(iface->router);
+  };
+  const auto pairs = [](std::size_t n) { return n * (n - 1) / 2; };
+
+  AliasAccuracy acc;
+  std::unordered_map<std::uint32_t, std::size_t> targets_per_router;
+  for (const std::vector<Ipv4>& set : report.aliases.sets) {
+    std::unordered_map<std::uint32_t, std::size_t> per_router;
+    std::size_t known = 0;
+    for (const Ipv4 addr : set) {
+      const Router* router = router_of(addr);
+      if (router == nullptr) continue;
+      ++known;
+      ++per_router[router->id.value];
+      ++targets_per_router[router->id.value];
+      if (router->ipid == IpIdBehaviour::Random) ++acc.random_in_sets;
+    }
+    std::size_t same = 0;
+    for (const auto& [router, n] : per_router) same += pairs(n);
+    acc.true_pairs += same;
+    acc.false_pairs += pairs(known) - same;
+    acc.wrong_sets += per_router.size() > 1 ? 1 : 0;
+    acc.multi_sets += set.size() >= 2 ? 1 : 0;
+  }
+  for (const Ipv4 addr : report.aliases.unresolved) {
+    const Router* router = router_of(addr);
+    if (router == nullptr) continue;
+    ++targets_per_router[router->id.value];
+    if (router->ipid == IpIdBehaviour::Random) ++acc.random_unresolved;
+  }
+  std::size_t router_pairs = 0;
+  for (const auto& [router, n] : targets_per_router) router_pairs += pairs(n);
+  acc.missed_pairs = router_pairs - acc.true_pairs;
   return acc;
 }
 

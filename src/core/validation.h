@@ -56,6 +56,31 @@ struct SourceAccuracy {
   }
 };
 
+// Alias sets scored against each address's true router. A pair is two
+// addresses of one reported set (true when they share a router); a missed
+// pair shares a router but not a set, over every address the resolver
+// was given (sets and unresolved). Addresses the topology does not know
+// are skipped.
+struct AliasAccuracy {
+  std::size_t true_pairs = 0;
+  std::size_t false_pairs = 0;
+  std::size_t missed_pairs = 0;
+  std::size_t wrong_sets = 0;   // sets spanning more than one router
+  std::size_t multi_sets = 0;   // sets of two or more addresses
+  // Addresses of Random-IP-ID routers, by where the resolver put them.
+  std::size_t random_unresolved = 0;
+  std::size_t random_in_sets = 0;
+
+  [[nodiscard]] double precision() const {
+    const std::size_t n = true_pairs + false_pairs;
+    return n == 0 ? 1.0 : static_cast<double>(true_pairs) / n;
+  }
+  [[nodiscard]] double recall() const {
+    const std::size_t n = true_pairs + missed_pairs;
+    return n == 0 ? 1.0 : static_cast<double>(true_pairs) / n;
+  }
+};
+
 class ValidationHarness {
  public:
   struct Config {
@@ -81,6 +106,8 @@ class ValidationHarness {
 
   // --- oracle scoring (every resolved interface) ---
   [[nodiscard]] SourceAccuracy oracle_interface_accuracy(
+      const CfsReport& report) const;
+  [[nodiscard]] AliasAccuracy oracle_alias_accuracy(
       const CfsReport& report) const;
   // Confusion of inferred vs true link type.
   [[nodiscard]] std::map<std::pair<InterconnectionType, InterconnectionType>,

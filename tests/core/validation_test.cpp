@@ -172,6 +172,41 @@ TEST(Validation, OracleScoresResolvedInterfaces) {
   EXPECT_DOUBLE_EQ(acc.city_accuracy(), 1.0);
 }
 
+// Pairs are scored against each address's true router, IXP LAN ports
+// through the member's port router; unknown addresses are skipped.
+TEST(Validation, OracleScoresAliasPairs) {
+  ValidationFixture fx;
+  const Topology& topo = fx.net.topo;
+  const Link& xc = topo.link(fx.ca_xconnect);  // a: C side, b: A side
+  const RouterId a1 = fx.net.router(fx.a, 1);
+  const RouterId a2 = fx.net.router(fx.a, 2);
+  const RouterId a4 = fx.net.router(fx.a, 4);
+  const RouterId c2 = fx.net.router(fx.c, 2);
+  const IxpPort* port = topo.ixp(fx.net.ix).port_of(fx.a, a1);
+  ASSERT_NE(port, nullptr);
+  fx.net.topo.mutable_router(a4).ipid = IpIdBehaviour::Random;
+
+  CfsReport report;
+  report.aliases.sets = {
+      {topo.router(a1).local_address, port->lan_address},  // 1 true pair
+      {topo.router(a2).local_address, xc.b.address},       // 1 true pair
+      {topo.router(c2).local_address, topo.router(a4).local_address},
+      {*Ipv4::parse("9.9.9.9")},
+  };
+  report.aliases.unresolved = {xc.a.address};  // C's router: 1 missed pair
+
+  const AliasAccuracy acc = fx.harness->oracle_alias_accuracy(report);
+  EXPECT_EQ(acc.true_pairs, 2u);
+  EXPECT_EQ(acc.false_pairs, 1u);
+  EXPECT_EQ(acc.missed_pairs, 1u);
+  EXPECT_EQ(acc.wrong_sets, 1u);
+  EXPECT_EQ(acc.multi_sets, 3u);
+  EXPECT_EQ(acc.random_in_sets, 1u);
+  EXPECT_EQ(acc.random_unresolved, 0u);
+  EXPECT_DOUBLE_EQ(acc.precision(), 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(acc.recall(), 2.0 / 3.0);
+}
+
 TEST(Validation, BreakdownCoversCooperatingOperatorOnly) {
   ValidationFixture fx;
   const Link& link = fx.net.topo.link(fx.ca_xconnect);

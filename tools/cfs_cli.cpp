@@ -437,6 +437,18 @@ int cmd_validate(const Flags& flags) {
   table.add_row({"Scored interfaces", Table::cell(std::uint64_t{oracle.total})});
   table.add_row({"Facility accuracy", Table::percent(oracle.accuracy())});
   table.add_row({"City accuracy", Table::percent(oracle.city_accuracy())});
+  const auto alias = pipeline.validation().oracle_alias_accuracy(report);
+  table.add_row({"Alias pair precision", Table::percent(alias.precision(), 2)});
+  table.add_row({"Alias pair recall", Table::percent(alias.recall(), 2)});
+  table.add_row({"Alias true / false pairs",
+                 std::to_string(alias.true_pairs) + " / " +
+                     std::to_string(alias.false_pairs)});
+  table.add_row({"Alias multi / wrong sets",
+                 std::to_string(alias.multi_sets) + " / " +
+                     std::to_string(alias.wrong_sets)});
+  table.add_row({"Random-IPID unresolved / in sets",
+                 std::to_string(alias.random_unresolved) + " / " +
+                     std::to_string(alias.random_in_sets)});
   table.print(std::cout);
 
   const auto breakdown = pipeline.validation().validate(report);
