@@ -3,7 +3,7 @@
 namespace cfs {
 
 IpIdModel::IpIdModel(const Topology& topo, std::uint64_t seed)
-    : topo_(topo), probe_rng_(seed ^ 0x1b1b1b1bULL) {
+    : topo_(topo), random_seed_(mix64(seed ^ 0x1b1b1b1bULL)) {
   Rng rng(seed);
   for (const auto& router : topo.routers()) {
     CounterState state;
@@ -21,6 +21,8 @@ IpIdModel::CompiledTarget IpIdModel::compile(Ipv4 addr) const {
   if (iface == nullptr) return target;
   const Router& router = topo_.router(iface->router);
   target.behaviour = router.ipid;
+  if (router.ipid == IpIdBehaviour::Random)
+    target.random_key = mix64(random_seed_ ^ addr.value());
   if (router.ipid == IpIdBehaviour::SharedCounter) {
     const CounterState& state = counters_.at(router.id.value);
     target.offset = state.offset;

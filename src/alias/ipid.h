@@ -10,8 +10,8 @@
 // never false positives -- matching MIDAR's design goal).
 #pragma once
 
+#include <bit>
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -27,20 +27,22 @@ class IpIdModel {
 
   // Pre-resolved probe target: the interface/router/counter hash lookups
   // hoisted out of the per-probe path (the resolver's pair-corroboration
-  // stage answers tens of millions of probes at paper scale). An unknown
-  // address compiles to Unresponsive. Compiling draws no RNG.
+  // stage answers millions of probes at paper scale). An unknown address
+  // compiles to Unresponsive.
   struct CompiledTarget {
     IpIdBehaviour behaviour = IpIdBehaviour::Unresponsive;
     double offset = 0.0;
     double rate = 0.0;
+    std::uint64_t random_key = 0;  // Random: hash of (seed, address)
   };
   [[nodiscard]] CompiledTarget compile(Ipv4 addr) const;
 
   // IP-ID contained in a reply to a probe of the compiled target sent at
   // virtual time `t_s` (seconds); nullopt when the interface is unknown or
-  // its router filters alias-resolution probes. Each probe of a
-  // Random-behaviour router draws once from probe_rng_.
-  [[nodiscard]] std::optional<std::uint16_t> probe_compiled(
+  // its router filters alias-resolution probes. A pure function of
+  // (target, t_s): a Random-behaviour reply is a hash of the seed, the
+  // address and the probe time, so no reply depends on earlier probes.
+  [[nodiscard]] static std::optional<std::uint16_t> probe_compiled(
       const CompiledTarget& target, double t_s) {
     switch (target.behaviour) {
       case IpIdBehaviour::Unresponsive:
@@ -48,9 +50,8 @@ class IpIdModel {
       case IpIdBehaviour::Zero:
         return std::uint16_t{0};
       case IpIdBehaviour::Random:
-        // Low 16 bits of one draw: what uniform(65536) returns, since a
-        // power-of-two bound never rejects, without its two divisions.
-        return static_cast<std::uint16_t>(probe_rng_.next() % 65536);
+        return static_cast<std::uint16_t>(
+            mix64(target.random_key ^ std::bit_cast<std::uint64_t>(t_s)));
       case IpIdBehaviour::SharedCounter: {
         const double value = target.offset + target.rate * t_s;
         return static_cast<std::uint16_t>(
@@ -60,15 +61,9 @@ class IpIdModel {
     return std::nullopt;
   }
 
-  // Advances the Random-reply stream past `n` replies that are scheduled
-  // but never read, leaving it where `n` Random probes would: each reply
-  // is exactly one next().
-  void skip_random_replies(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) probe_rng_.next();
-  }
-
   // One-off probe of `addr`: compile plus probe_compiled.
-  [[nodiscard]] std::optional<std::uint16_t> probe(Ipv4 addr, double t_s) {
+  [[nodiscard]] std::optional<std::uint16_t> probe(Ipv4 addr,
+                                                   double t_s) const {
     return probe_compiled(compile(addr), t_s);
   }
 
@@ -83,7 +78,7 @@ class IpIdModel {
 
   const Topology& topo_;
   std::unordered_map<std::uint32_t, CounterState> counters_;  // per router
-  Rng probe_rng_;  // randomised-IPID replies
+  std::uint64_t random_seed_;  // keys Random-behaviour replies
 };
 
 }  // namespace cfs

@@ -6,22 +6,6 @@
 
 namespace cfs {
 
-namespace {
-
-// splitmix64 finalizer: the per-entity hash behind every scheduled fault.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double to_unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
-
 bool FaultPlan::any() const {
   return lg_outage_fraction > 0.0 || lg_ban_burst > 0 ||
          vp_churn_fraction > 0.0 || probe_timeout_rate > 0.0 ||
@@ -37,7 +21,7 @@ std::uint64_t FaultPlane::mix(std::uint64_t id, std::uint64_t salt) const {
 }
 
 double FaultPlane::frac(std::uint64_t id, std::uint64_t salt) const {
-  return to_unit(mix(id, salt));
+  return unit_interval(mix(id, salt));
 }
 
 bool FaultPlane::lg_offline(RouterId lg, double now_s) const {
@@ -95,7 +79,7 @@ Rng FaultPlane::timeout_stream(std::uint64_t stream) const {
 bool FaultPlane::withhold_record(double fraction,
                                  std::uint64_t record_key) const {
   if (fraction <= 0.0) return false;
-  const bool withheld = to_unit(mix(record_key, 5)) < fraction;
+  const bool withheld = unit_interval(mix(record_key, 5)) < fraction;
   if (withheld) Trace::counter("faults.records_withheld");
   return withheld;
 }
@@ -114,7 +98,7 @@ SocketFaultPlane::SocketFaultPlane(const SocketFaultPlan& plan,
 
 double SocketFaultPlane::frac(std::uint64_t conn, std::uint64_t request,
                               std::uint64_t salt) const {
-  return to_unit(
+  return unit_interval(
       mix64(seed_ ^ mix64(conn ^ (salt << 40)) ^ mix64(request ^ (salt << 8))));
 }
 

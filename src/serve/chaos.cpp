@@ -15,19 +15,12 @@
 
 #include "io/json.h"
 #include "serve/protocol.h"
+#include "util/rng.h"
 
 namespace cfs {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// splitmix64 finalizer, the same mixing every fault plane uses.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 void sleep_ms(double ms) {
   if (ms <= 0.0) return;

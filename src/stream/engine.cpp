@@ -19,6 +19,7 @@ StreamEngine::StreamEngine(const Topology& topo, const IpToAsnService& ip2asn,
       config_(config),
       raw_map_(ip2asn),
       cache_({}, pool),
+      resolver_(topo, config.seed),
       border_(ip2asn) {}
 
 StreamSnapshot StreamEngine::fold_epoch(std::span<const StreamEvent> events) {
@@ -61,13 +62,16 @@ StreamSnapshot StreamEngine::fold_epoch(std::span<const StreamEvent> events) {
     }
   }
 
-  // ---- 3. alias resolution, memoized on the target set ----
-  // A fresh resolver per run makes the sets a pure function of the sorted
-  // target list; addresses only ever join the set, so size is identity.
+  // ---- 3. alias resolution, re-run when the target set grows ----
+  // Addresses only ever join the set, so size is identity. The resolver's
+  // answer is a pure function of the sorted target list, and it memoises
+  // every earlier epoch's work.
   if (present0_.size() != aliased_count_) {
+    TraceSpan alias_span("stream.alias");
+    alias_span.arg("targets", present0_.size());
+    alias_span.arg("new_targets", present0_.size() - aliased_count_);
     const std::vector<Ipv4> targets(present0_.begin(), present0_.end());
-    AliasResolver resolver(topo_, config_.seed);
-    aliases_ = resolver.resolve(targets);
+    aliases_ = resolver_.resolve(targets);
     aliased_count_ = present0_.size();
   }
 

@@ -11,9 +11,10 @@
 //   * each trace is classified under the raw map once, on arrival (the
 //     raw map never changes), and only feeds the alias-resolution target
 //     set — a std::set, order-free;
-//   * alias resolution is memoized on the target-set size and re-run with
-//     a FRESH resolver, making the sets a pure function of the sorted
-//     targets;
+//   * alias resolution is re-run when the target set grows, on one
+//     resolver kept across epochs: its sets are a pure function of the
+//     sorted targets (alias/midar.h), and it only tests pairs with a new
+//     address;
 //   * border-mapping evidence accumulates one trace at a time; its
 //     corrections are a pure function of the trace multiset;
 //   * the corrected ASN map is rebuilt FRESH each epoch from (aliases,
@@ -112,6 +113,7 @@ class StreamEngine {
   // Alias-resolution targets: endpoints of raw observations (order-free).
   std::set<Ipv4> present0_;
   std::size_t aliased_count_ = 0;  // present0_ size at last resolve
+  AliasResolver resolver_;
   AliasSets aliases_;
 
   BorderMapper border_;

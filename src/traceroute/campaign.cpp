@@ -4,19 +4,12 @@
 #include <cmath>
 #include <optional>
 
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace cfs {
 
 namespace {
-
-// splitmix64 finalizer, the same mixer the fault plane uses for schedules.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Stable key for one unit of work.
 std::uint64_t unit_key(VantagePointId vp, Ipv4 target) {

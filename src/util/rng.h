@@ -11,6 +11,20 @@
 
 namespace cfs {
 
+// splitmix64 finalizer: a stateless 64-bit hash for values that must be a
+// pure function of their key (fault schedules, alias probe schedules).
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Top 53 bits of a hash as a uniform real in [0, 1).
+inline double unit_interval(std::uint64_t h) {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);

@@ -9,6 +9,7 @@
 #include "support/mini_net.h"
 #include "topology/generator.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace cfs {
 namespace {
@@ -301,21 +302,18 @@ TEST(Resolver, DuplicateTargetsDeduplicated) {
   EXPECT_EQ(occurrences, 1u);
 }
 
-// The resolver before its Stage-3 screen, built only from public API:
-// every corroboration round collects all 2 * kSamples replies and then
-// runs the full monotonic bounds test. Schedule constants mirror
-// alias/midar.cpp. Also counts the corroborated pairs by how many of
-// their sides are Random-IPID sources.
+// The resolver without its Stage-3 screen and without memoisation, built
+// only from public API: every call starts fresh, collects each target's
+// estimation series and every corroboration round's 2 * kSamples replies
+// on the pure schedule, and runs the full monotonic bounds test. Sets are
+// materialised in (velocity, address) order. Also counts the tested pairs.
 class UnscreenedResolver {
  public:
   UnscreenedResolver(const Topology& topo, std::uint64_t seed)
-      : model_(topo, seed) {}
+      : model_(topo, seed), schedule_(seed) {}
 
   AliasSets resolve(const std::vector<Ipv4>& targets) {
-    constexpr int kSamples = 12;
-    constexpr double kProbeIntervalS = 0.1;
-    constexpr int kCorroborationRounds = 3;
-    constexpr double kRoundSpacingS = 1200.0;
+    using S = MidarSchedule;
     AliasSets out;
     std::vector<Ipv4> addrs;
     {
@@ -323,63 +321,38 @@ class UnscreenedResolver {
       for (const Ipv4 a : targets)
         if (!std::exchange(seen[a], true)) addrs.push_back(a);
     }
-    std::vector<IpIdModel::CompiledTarget> compiled;
-    for (const Ipv4 a : addrs) compiled.push_back(model_.compile(a));
-
-    std::vector<IpIdSeries> series(addrs.size());
-    double clock = clock_s_;
-    for (int round = 0; round < kSamples; ++round)
-      for (std::size_t k = 0; k < addrs.size(); ++k) {
-        if (const auto ipid = model_.probe_compiled(compiled[k], clock))
-          series[k].push_back(IpIdSample{clock, *ipid});
-        clock += kProbeIntervalS;
+    struct Candidate {
+      double v;
+      Ipv4 addr;
+      IpIdModel::CompiledTarget target;
+    };
+    std::vector<Candidate> candidates;
+    for (const Ipv4 addr : addrs) {
+      const IpIdModel::CompiledTarget target = model_.compile(addr);
+      IpIdSeries series;
+      for (int k = 0; k < S::kSamples; ++k) {
+        const double t = schedule_.estimation_start(addr) + k * S::kProbeIntervalS;
+        if (const auto ipid = IpIdModel::probe_compiled(target, t))
+          series.push_back(IpIdSample{t, *ipid});
       }
-    probes_ += addrs.size() * static_cast<std::size_t>(kSamples);
-    clock_s_ += static_cast<double>(addrs.size()) * kSamples * kProbeIntervalS;
-
-    std::vector<std::pair<double, std::size_t>> candidates;  // (v, slot)
-    for (std::size_t k = 0; k < addrs.size(); ++k) {
-      const double v =
-          series[k].empty()
-              ? -1.0
-              : estimate_velocity(series[k].data(), series[k].size());
+      const double v = estimate_velocity(series.data(), series.size());
       if (v <= 0.0 || v > kRandomVelocityCutoff)
-        out.unresolved.push_back(addrs[k]);
+        out.unresolved.push_back(addr);
       else
-        candidates.emplace_back(v, k);
+        candidates.push_back(Candidate{v, addr, target});
     }
     std::sort(candidates.begin(), candidates.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
+              [](const Candidate& x, const Candidate& y) {
+                return x.v < y.v || (x.v == y.v && x.addr < y.addr);
+              });
 
     UnionFind uf(candidates.size());
-    IpIdSeries sa, sb;
     for (std::size_t i = 0; i < candidates.size(); ++i)
       for (std::size_t j = i + 1; j < candidates.size(); ++j) {
-        if (!velocities_compatible(candidates[i].first, candidates[j].first))
-          break;
+        if (!velocities_compatible(candidates[i].v, candidates[j].v)) break;
         if (uf.find(i) == uf.find(j)) continue;
-        const auto& ca = compiled[candidates[i].second];
-        const auto& cb = compiled[candidates[j].second];
-        ++pairs_by_random_sides[(ca.behaviour == IpIdBehaviour::Random) +
-                                (cb.behaviour == IpIdBehaviour::Random)];
-        bool pass = true;
-        for (int round = 0; round < kCorroborationRounds && pass; ++round) {
-          sa.clear();
-          sb.clear();
-          double t = clock_s_;
-          for (int r = 0; r < kSamples; ++r) {
-            if (const auto ipid = model_.probe_compiled(ca, t))
-              sa.push_back(IpIdSample{t, *ipid});
-            t += kProbeIntervalS;
-            if (const auto ipid = model_.probe_compiled(cb, t))
-              sb.push_back(IpIdSample{t, *ipid});
-            t += kProbeIntervalS;
-          }
-          clock_s_ += kRoundSpacingS;
-          probes_ += 2 * static_cast<std::size_t>(kSamples);
-          pass = !sa.empty() && !sb.empty() && mbt(sa, sb);
-        }
-        if (pass) uf.unite(i, j);
+        ++pair_tests;
+        if (pair_passes(candidates[i], candidates[j])) uf.unite(i, j);
       }
 
     std::unordered_map<std::size_t, std::size_t> root_to_set;
@@ -387,29 +360,58 @@ class UnscreenedResolver {
       const auto [it, inserted] =
           root_to_set.try_emplace(uf.find(i), out.sets.size());
       if (inserted) out.sets.emplace_back();
-      out.sets[it->second].push_back(addrs[candidates[i].second]);
+      out.sets[it->second].push_back(candidates[i].addr);
     }
     return out;
   }
 
-  [[nodiscard]] std::size_t probes_sent() const { return probes_; }
-
-  std::size_t pairs_by_random_sides[3] = {0, 0, 0};
+  std::size_t pair_tests = 0;
 
  private:
+  template <class Candidate>
+  bool pair_passes(const Candidate& x, const Candidate& y) const {
+    using S = MidarSchedule;
+    const Candidate& lo = x.addr < y.addr ? x : y;
+    const Candidate& hi = x.addr < y.addr ? y : x;
+    for (int round = 0; round < S::kCorroborationRounds; ++round) {
+      IpIdSeries sa, sb;
+      double t = schedule_.round_start(x.addr, y.addr, round);
+      const double start = t;
+      for (int p = 0; p < 2 * S::kSamples; ++p) {
+        t = start + p * S::kProbeIntervalS;
+        const Candidate& side = p % 2 == 0 ? lo : hi;
+        if (const auto ipid = IpIdModel::probe_compiled(side.target, t))
+          (p % 2 == 0 ? sa : sb).push_back(IpIdSample{t, *ipid});
+      }
+      if (sa.empty() || sb.empty() || !mbt(sa, sb)) return false;
+    }
+    return true;
+  }
+
   IpIdModel model_;
-  std::size_t probes_ = 0;
-  double clock_s_ = 0.0;
+  MidarSchedule schedule_;
 };
 
-// The Stage-3 screen changes how much is computed, never the outcome: on
-// generated worlds, each of two back-to-back resolves of a growing target
-// set (as CFS refreshes run them) returns the same sets, unresolved
-// targets and probe count as the unscreened loop. The second call checks
-// that the virtual clock and the Random-IPID stream carried over exactly.
-// One world raises ipid_random_prob so Random x counter and Random x
-// Random pairs are common. The small worlds resolve every fourth
-// interface, which keeps the unscreened reference near 100k pairs each.
+// Targets of a generated world: every stride-th interface in address order.
+std::vector<Ipv4> world_targets(const Topology& topo, std::size_t stride) {
+  std::vector<Ipv4> interfaces;
+  for (const auto& router : topo.routers())
+    interfaces.insert(interfaces.end(), router.interfaces.begin(),
+                      router.interfaces.end());
+  std::sort(interfaces.begin(), interfaces.end());
+  std::vector<Ipv4> out;
+  for (std::size_t k = 0; k < interfaces.size(); k += stride)
+    out.push_back(interfaces[k]);
+  return out;
+}
+
+// Neither the Stage-3 screen nor memoisation changes an answer: on
+// generated worlds, one resolver fed growing prefixes of a shuffled target
+// list (as CFS refreshes run it), then a list that is not a superset (its
+// start-over path), returns on every call the sets and unresolved targets
+// of a fresh unscreened reference on the same targets. One world raises
+// ipid_random_prob so Random-IP-ID targets are common. The small worlds
+// resolve every fourth interface.
 TEST(Resolver, ScreenedCorroborationMatchesUnscreened) {
   struct World {
     const char* name;
@@ -429,36 +431,96 @@ TEST(Resolver, ScreenedCorroborationMatchesUnscreened) {
     worlds.push_back({"small random-heavy", heavy, 4});
   }
 
-  std::size_t random_pairs[3] = {0, 0, 0};
+  std::size_t multi_sets = 0;
   for (const World& world : worlds) {
     SCOPED_TRACE(std::string(world.name) + " seed " +
                  std::to_string(world.config.seed));
     const Topology topo = generate_topology(world.config);
-    std::vector<Ipv4> interfaces;
-    for (const auto& router : topo.routers())
-      interfaces.insert(interfaces.end(), router.interfaces.begin(),
-                        router.interfaces.end());
-    std::sort(interfaces.begin(), interfaces.end());
-    std::vector<Ipv4> all;
-    for (std::size_t k = 0; k < interfaces.size(); k += world.stride)
-      all.push_back(interfaces[k]);
-    std::vector<Ipv4> first(all.begin(), all.begin() + all.size() / 2);
+    std::vector<Ipv4> all = world_targets(topo, world.stride);
+    Rng rng(world.config.seed);
+    rng.shuffle(all);
 
-    AliasResolver screened(topo, world.config.seed + 100);
-    UnscreenedResolver reference(topo, world.config.seed + 100);
-    for (const std::vector<Ipv4>* targets : {&first, &all}) {
-      const AliasSets got = screened.resolve(*targets);
-      const AliasSets want = reference.resolve(*targets);
+    std::vector<std::vector<Ipv4>> calls;
+    for (const std::size_t n : {all.size() / 4, all.size() / 2, all.size()})
+      calls.emplace_back(all.begin(), all.begin() + n);
+    calls.emplace_back(all.begin() + all.size() / 3, all.end());  // start over
+    calls.push_back(all);
+
+    AliasResolver memoised(topo, world.config.seed + 100);
+    for (const std::vector<Ipv4>& targets : calls) {
+      SCOPED_TRACE("targets " + std::to_string(targets.size()));
+      UnscreenedResolver reference(topo, world.config.seed + 100);
+      const AliasSets got = memoised.resolve(targets);
+      const AliasSets want = reference.resolve(targets);
       EXPECT_EQ(got.sets, want.sets);
       EXPECT_EQ(got.unresolved, want.unresolved);
-      EXPECT_EQ(screened.probes_sent(), reference.probes_sent());
+      multi_sets += static_cast<std::size_t>(
+          std::count_if(got.sets.begin(), got.sets.end(),
+                        [](const auto& set) { return set.size() >= 2; }));
     }
-    for (int k = 0; k < 3; ++k)
-      random_pairs[k] += reference.pairs_by_random_sides[k];
   }
-  EXPECT_GT(random_pairs[0], 0u);
-  EXPECT_GT(random_pairs[1], 0u);
-  EXPECT_GT(random_pairs[2], 0u);
+  EXPECT_GT(multi_sets, 0u);
+}
+
+// Memoisation bound: a growing sequence of calls tests at most 1.2x the
+// pairs of one fresh resolve of the final target set.
+TEST(Resolver, MemoisedPairTestsBounded) {
+  GeneratorConfig config = GeneratorConfig::small_scale();
+  config.seed = 5;
+  const Topology topo = generate_topology(config);
+  std::vector<Ipv4> all = world_targets(topo, 1);
+  Rng rng(5);
+  rng.shuffle(all);
+
+  // Pair tests of `run`, read off the process-wide registry.
+  const auto pair_tests = [](const auto& run) {
+    const MetricsSnapshot before = Trace::metrics();
+    run();
+    const auto& counters = Trace::metrics_since(before).counters;
+    const auto it = counters.find("alias.pair_tests");
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t memoised_pairs = pair_tests([&] {
+    AliasResolver resolver(topo, 11);
+    for (std::size_t step = 1; step <= 10; ++step)
+      (void)resolver.resolve(std::vector<Ipv4>(
+          all.begin(), all.begin() + all.size() * step / 10));
+  });
+  const std::uint64_t fresh_pairs = pair_tests([&] {
+    AliasResolver resolver(topo, 11);
+    (void)resolver.resolve(all);
+  });
+  ASSERT_GT(fresh_pairs, 1000u);
+  EXPECT_LE(static_cast<double>(memoised_pairs),
+            1.2 * static_cast<double>(fresh_pairs));
+}
+
+// A Random-IP-ID series estimates far above the cutoff whatever the target
+// count: each target's samples are 0.1 s apart on its own schedule.
+TEST(Resolver, RandomIpIdTargetsUnresolvedAtScale) {
+  GeneratorConfig config = GeneratorConfig::small_scale();
+  config.ipid_random_prob = 0.3;
+  const Topology topo = generate_topology(config);
+  std::vector<Ipv4> targets;
+  std::size_t random_targets = 0;
+  for (const auto& router : topo.routers())
+    for (const Ipv4 addr : router.interfaces) {
+      targets.push_back(addr);
+      random_targets += router.ipid == IpIdBehaviour::Random ? 1 : 0;
+    }
+  ASSERT_GE(targets.size(), 3000u);
+  ASSERT_GT(random_targets, 500u);
+
+  AliasResolver resolver(topo, 17);
+  const AliasSets sets = resolver.resolve(targets);
+  std::size_t random_unresolved = 0;
+  for (const Ipv4 addr : sets.unresolved)
+    random_unresolved +=
+        topo.router(topo.find_interface(addr)->router).ipid ==
+                IpIdBehaviour::Random
+            ? 1
+            : 0;
+  EXPECT_EQ(random_unresolved, random_targets);
 }
 
 // Property test at generated scale: zero false positives is the MIDAR

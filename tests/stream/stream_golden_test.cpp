@@ -28,8 +28,8 @@ namespace {
 
 // hex64(fnv1a64(canonical)) after each epoch, in fold order.
 constexpr const char* kEpochHashes[] = {
-    "ab72a4218f6c37b0", "9b226b876e4ec16a", "fb4e9677be69eb36",
-    "a43039acf06727f9", "dd00093ae769e08c",
+    "a45ac24a5abd0708", "d728d1503e539de2", "440d56fe3d3f95d0",
+    "f5d6b37a317f3e8d", "222682b994a74768",
 };
 
 StreamScheduleConfig golden_schedule_config() {
